@@ -198,40 +198,6 @@ impl<'g> PaymentEngine<'g> {
         self.target_tables.len()
     }
 
-    /// Removes and returns the engine's cached destination tables,
-    /// leaving the cache empty — the zero-copy half of the epoch-handoff
-    /// protocol. An engine borrows its topology for its lifetime, so a
-    /// service that rebuilds engines at an epoch boundary would otherwise
-    /// discard every warm table and re-warm from scratch;
-    /// [`PaymentEngine::install_tables`] moves them into the successor
-    /// instead.
-    pub fn take_tables(&mut self) -> BTreeMap<NodeId, NodeDistanceTable> {
-        std::mem::take(&mut self.target_tables)
-    }
-
-    /// Installs destination tables previously removed with
-    /// [`PaymentEngine::take_tables`], counting each under
-    /// `core.batch.target_cache_installs`. The tables must have been
-    /// computed over a graph with the same adjacency and declared costs
-    /// as this engine's (the intended caller rebuilds an engine over the
-    /// *same* graph value after an epoch swap retired the old borrow);
-    /// only the node count is checkable here, and is asserted.
-    pub fn install_tables(&mut self, tables: BTreeMap<NodeId, NodeDistanceTable>) {
-        for (target, t) in tables {
-            assert_eq!(
-                t.dist.len(),
-                self.g.num_nodes(),
-                "installed table for {target:?} sized for a different graph"
-            );
-            assert_eq!(
-                t.origin, target,
-                "installed table keyed by a foreign origin"
-            );
-            truthcast_obs::add("core.batch.target_cache_installs", 1);
-            self.target_tables.insert(target, t);
-        }
-    }
-
     /// Ensures the destination-rooted table for `target` is cached,
     /// counting a hit or miss.
     fn warm(&mut self, target: NodeId) {
@@ -432,36 +398,6 @@ impl<'g> LinkPaymentEngine<'g> {
         self.target_tables.len()
     }
 
-    /// Removes and returns the cached destination tables — see
-    /// [`PaymentEngine::take_tables`].
-    pub fn take_tables(&mut self) -> BTreeMap<NodeId, DistanceTable> {
-        std::mem::take(&mut self.target_tables)
-    }
-
-    /// Installs tables previously removed with
-    /// [`LinkPaymentEngine::take_tables`] — see
-    /// [`PaymentEngine::install_tables`] for the caller contract.
-    pub fn install_tables(&mut self, tables: BTreeMap<NodeId, DistanceTable>) {
-        for (target, t) in tables {
-            assert_eq!(
-                t.dist.len(),
-                self.g.num_nodes(),
-                "installed table for {target:?} sized for a different graph"
-            );
-            assert_eq!(
-                t.origin, target,
-                "installed table keyed by a foreign origin"
-            );
-            assert_eq!(
-                t.direction,
-                Direction::Forward,
-                "link tables are forward sweeps from the target"
-            );
-            truthcast_obs::add("core.batch.target_cache_installs", 1);
-            self.target_tables.insert(target, t);
-        }
-    }
-
     fn warm(&mut self, target: NodeId) {
         if self.target_tables.contains_key(&target) {
             truthcast_obs::add("core.batch.target_cache_hits", 1);
@@ -649,35 +585,6 @@ mod tests {
             engine.price_all_to_ap(NodeId(3)),
             price_all_sources(&g, NodeId(3))
         );
-    }
-
-    #[test]
-    fn table_handoff_preserves_pricing() {
-        let g = diamond();
-        let sessions = [
-            SessionQuery::new(NodeId(0), NodeId(3)),
-            SessionQuery::new(NodeId(1), NodeId(3)),
-        ];
-        let mut a = PaymentEngine::with_threads(&g, 2);
-        let expect = a.price_batch(&sessions);
-        let tables = a.take_tables();
-        assert_eq!(a.cached_targets(), 0);
-        let mut b = PaymentEngine::with_threads(&g, 2);
-        b.install_tables(tables);
-        assert_eq!(b.cached_targets(), 1);
-        assert_eq!(b.price_batch(&sessions), expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "sized for a different graph")]
-    fn install_rejects_foreign_size() {
-        let g = diamond();
-        let mut a = PaymentEngine::new(&g);
-        a.price_batch(&[SessionQuery::new(NodeId(0), NodeId(3))]);
-        let tables = a.take_tables();
-        let small = NodeWeightedGraph::from_pairs_units(&[(0, 1)], &[0, 0]);
-        let mut b = PaymentEngine::new(&small);
-        b.install_tables(tables);
     }
 
     #[test]

@@ -672,7 +672,7 @@ impl IncrementalEngine {
                     self.old_dist.clone_from(&self.dist);
                     self.old_parent.clone_from(&self.parent);
                     self.repair(g, &region);
-                    let repriced = self.reprice(g, ap, &delta, &[]);
+                    let repriced = self.reprice(g, ap, &delta, &[], &[]);
                     drop(repair_span);
                     self.last_outcome = EpochOutcome::Repaired {
                         dirty_nodes: region.dirty_count,
@@ -768,7 +768,7 @@ impl IncrementalEngine {
         let n = g.num_nodes();
         let md = GraphDelta::between_mapped(pg, g, map);
         truthcast_obs::add("core.delta.deltas", md.delta.len() as u64);
-        let severed = self.remap_state(map);
+        let (severed, renumbered) = self.remap_state(map);
         let region = {
             let shared = self.shared.as_ref().expect("remap left tables");
             classify_delta_severed(&md.delta, &severed, &shared.iv, &self.parent, ap)
@@ -787,7 +787,7 @@ impl IncrementalEngine {
             self.old_dist.clone_from(&self.dist);
             self.old_parent.clone_from(&self.parent);
             self.repair(g, &region);
-            let repaired = self.reprice(g, ap, &md.delta, &md.dead_adjacent);
+            let repaired = self.reprice(g, ap, &md.delta, &md.dead_adjacent, &renumbered);
             drop(repair_span);
             truthcast_obs::add("core.delta.warm_resizes", 1);
             truthcast_obs::add("core.delta.born", md.born as u64);
@@ -802,7 +802,8 @@ impl IncrementalEngine {
 
     /// Translates every piece of warm state into the map's new index
     /// space, returning the severed slice roots (survivors whose tree
-    /// parent departed). The translation protocol:
+    /// parent departed) and the renumbered survivors (new index differs
+    /// from the old one). The translation protocol:
     ///
     /// * `dist`/`parent` — survivors keep their values under new
     ///   indices; newborns sit at infinity with no parent (they settle
@@ -823,16 +824,29 @@ impl IncrementalEngine {
     /// * shared sweep — intervals remapped (compaction preserves
     ///   survivor ancestry and slice contiguity), fallback marks carried
     ///   per survivor.
-    fn remap_state(&mut self, map: &NodeMap) -> Vec<NodeId> {
+    ///
+    /// Compaction keeps the *old* preorder, while the post-repair
+    /// labeling orders siblings by their *new* indices. A renumbered
+    /// survivor (the last node swapped into a departed slot, say) can
+    /// therefore change places with its siblings without any tree edge
+    /// moving, reordering every ancestor slice; cached rows of those
+    /// ancestors no longer line up with the new labeling. The caller
+    /// seeds the re-run set with the renumbered survivors, so every such
+    /// ancestor row is rebuilt by identity against the new slices.
+    fn remap_state(&mut self, map: &NodeMap) -> (Vec<NodeId>, Vec<NodeId>) {
         let new_n = map.new_len();
         let old_shared = self.shared.take().expect("prev epoch left tables");
         let mut severed: Vec<NodeId> = Vec::new();
+        let mut renumbered: Vec<NodeId> = Vec::new();
 
         let mut dist = vec![Cost::INF; new_n];
         let mut parent = vec![None; new_n];
         for i in 0..map.old_len() {
             let v = NodeId(i as u32);
             let Some(nv) = map.to_new(v) else { continue };
+            if nv != v {
+                renumbered.push(nv);
+            }
             dist[nv.index()] = self.dist[i];
             parent[nv.index()] = match self.parent[i] {
                 Some(p) => match map.to_new(p) {
@@ -914,7 +928,7 @@ impl IncrementalEngine {
             self.heap = IndexedHeap::new(new_n);
             self.heap_capacity = new_n;
         }
-        severed
+        (severed, renumbered)
     }
 
     /// Full cold pipeline: AP-rooted sweep, fresh classification, detour
@@ -1035,13 +1049,17 @@ impl IncrementalEngine {
     /// re-priced sources. `extra_damage` (empty outside a resize epoch)
     /// names survivors that neighbored a departed node: their escapes
     /// and support chains may have routed through it, so they join both
-    /// the seed set A and the primitive damage set G.
+    /// the seed set A and the primitive damage set G. `renumbered`
+    /// (likewise resize-only) joins A alone: its members' values are
+    /// intact, but their ancestors' slices may be reordered (see
+    /// [`IncrementalEngine::remap_state`]).
     fn reprice(
         &mut self,
         g: &NodeWeightedGraph,
         ap: NodeId,
         delta: &GraphDelta,
         extra_damage: &[NodeId],
+        renumbered: &[NodeId],
     ) -> usize {
         let n = g.num_nodes();
         let old_shared = self.shared.take().expect("prev epoch left tables");
@@ -1073,7 +1091,7 @@ impl IncrementalEngine {
         for &(x, _, _) in &delta.costs_changed {
             in_a[x.index()] = true;
         }
-        for &v in extra_damage {
+        for &v in extra_damage.iter().chain(renumbered) {
             in_a[v.index()] = true;
         }
 

@@ -448,3 +448,56 @@ fn chained_newborns_settle_through_decrease_seeds() {
         "2 now routes via the newborn chain 4-3"
     );
 }
+
+/// Sparse-UDG `swap_remove` churn at fixed seeds: range 300 in a region
+/// scaled to about 12 neighbours per node, costs uniform in `1..50`,
+/// the AP at index 1, and one departure per epoch at an index `≥ 4`,
+/// so the last node is renumbered into the departed slot every epoch.
+/// The randomized generators above draw small dense instances that
+/// never exercise a survivor inheriting a departed node's index deep
+/// inside a long detour row; these seeds do, at the default threshold.
+#[test]
+fn sparse_swap_remove_leaves_match_cold() {
+    const RANGE: f64 = 300.0;
+    for n in [60usize, 100, 200] {
+        for seed in 0..8u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let side = (n as f64 * std::f64::consts::PI * RANGE * RANGE / 12.0).sqrt();
+            let mut points: Vec<Point> = (0..n)
+                .map(|_| Point {
+                    x: rng.gen_range(0.0..=side),
+                    y: rng.gen_range(0.0..=side),
+                })
+                .collect();
+            let mut costs: Vec<Cost> = (0..n)
+                .map(|_| Cost::from_f64(rng.gen_range(1.0..50.0)))
+                .collect();
+            let ap = NodeId(1);
+            let mut engine = IncrementalEngine::with_threads(2);
+            for epoch in 0..10 {
+                let map = if epoch == 0 {
+                    NodeMap::identity(points.len())
+                } else {
+                    let v = rng.gen_range(4..points.len());
+                    points.swap_remove(v);
+                    costs.swap_remove(v);
+                    NodeMap::leave_swap(points.len() + 1, NodeId::new(v))
+                };
+                let pairs: Vec<(u32, u32)> = pairs_within_range(&points, RANGE)
+                    .into_iter()
+                    .map(|(u, v)| (u.0, v.0))
+                    .collect();
+                let g = NodeWeightedGraph::new(
+                    adjacency_from_pairs(points.len(), &pairs),
+                    costs.clone(),
+                );
+                let got = engine.price_epoch_mapped(&g, ap, &map);
+                assert!(
+                    got == truthcast_core::all_sources_payments(&g, ap),
+                    "n={n} seed={seed} epoch={epoch} outcome={:?}: warm resize diverged from cold",
+                    engine.last_outcome()
+                );
+            }
+        }
+    }
+}

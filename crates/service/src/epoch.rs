@@ -1,40 +1,24 @@
-//! Epoch-swapped pricing snapshots: the publication cell every shard
-//! serves from.
+//! The service's one publication point: every epoch's k pricing tables
+//! are published together, as one immutable `ServiceEpoch`.
 //!
 //! The serving layer's core concurrency problem is that pricing tables
 //! are rebuilt every mobility epoch while the front-end keeps serving.
-//! The classic answer is read-copy-update: readers price against an
-//! immutable, reference-counted snapshot; the re-warmer builds the next
-//! epoch's snapshot *off to the side* and publishes it with a single
-//! pointer exchange. Readers that raced the swap drain naturally — they
-//! hold an [`Arc`] to the retired snapshot, which is freed when the last
-//! of them finishes — and every settlement carries the snapshot's
-//! generation stamp so staleness is visible, never silent.
-//!
-//! The cell is structurally non-blocking for readers without `unsafe`:
-//! two slots, each behind a [`RwLock`], plus an atomic generation. The
-//! active slot is `generation & 1`; the writer only ever writes the
-//! *inactive* slot, and releases its write lock **before** bumping the
-//! generation, so a reader addressing the slot its freshly-loaded
-//! generation names can never collide with the writer. Readers never
-//! collide with each other either — read locks are shared. The only way
-//! `try_read` can fail is a reader that stalled between loading the
-//! generation and touching the slot for so long that a *later* epoch's
-//! writer reclaimed that slot; the retry loop re-loads the generation
-//! and lands on the fresh slot. A reader that somehow exhausts the spin
-//! budget yields and counts itself under
-//! `service.epoch.blocked_readers` — the counter the epoch-swap
-//! acceptance test pins at zero.
+//! The answer here is read-copy-update with a single pointer: the epoch
+//! writer re-prices all k APs *off to the side*, packs the tables into
+//! one `ServiceEpoch` stamped with the next generation, and swaps the
+//! cell's `Arc` under a write lock that covers the pointer exchange and
+//! nothing else. A reader clones that `Arc` under a read lock, so it
+//! gets either the whole old epoch or the whole new one — never a mix
+//! of generations or of node index spaces, by construction. Readers
+//! that raced the swap keep their `Arc` to the retired epoch, which is
+//! freed when the last of them finishes (the writer drops its own
+//! reference after releasing the lock).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, TryLockError};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use truthcast_core::delta::EpochOutcome;
 use truthcast_core::UnicastPricing;
 use truthcast_graph::{Cost, NodeId};
-
-/// Spin attempts before a reader declares itself blocked and yields.
-const SPIN_BUDGET: u32 = 128;
 
 /// One access point's immutable pricing state for one epoch: every
 /// source's unicast pricing toward this AP, pre-computed by the shard's
@@ -44,16 +28,6 @@ const SPIN_BUDGET: u32 = 128;
 /// [`IncrementalEngine`]: truthcast_core::delta::IncrementalEngine
 #[derive(Debug)]
 pub struct ApSnapshot {
-    /// Swap count of the owning cell when this snapshot was published
-    /// (1 = the service's initial warm-up epoch).
-    pub generation: u64,
-    /// The service-wide node-identity epoch this snapshot was priced
-    /// over (1 = the initial node set). Bumped by every resize — mapped
-    /// or cold — so the batch front-end can tell which snapshots share
-    /// an index *space*, not just an epoch count: mixing snapshots from
-    /// different node epochs would price one source index against two
-    /// different physical nodes.
-    pub node_epoch: u64,
     /// The access point this snapshot prices toward.
     pub ap: NodeId,
     /// The owning shard's index in the service's AP list — the anycast
@@ -82,84 +56,65 @@ impl ApSnapshot {
     }
 }
 
-/// The generation-stamped publication point between one shard's epoch
-/// loop (single writer) and every front-end worker (many readers). See
-/// the module docs for the non-blocking protocol.
-pub struct EpochCell {
-    generation: AtomicU64,
-    slots: [RwLock<Arc<ApSnapshot>>; 2],
+/// All k APs' tables for one epoch, priced over one graph.
+pub(crate) struct ServiceEpoch {
+    /// 1 for the tables built at construction, +1 per `begin_epoch*`.
+    pub(crate) generation: u64,
+    /// One snapshot per AP, in AP-list order.
+    pub(crate) aps: Vec<Arc<ApSnapshot>>,
 }
 
+/// The cell holding the current [`ServiceEpoch`]. Single writer: the
+/// service serializes its epoch writers before calling
+/// [`EpochCell::publish`].
+pub(crate) struct EpochCell(RwLock<Arc<ServiceEpoch>>);
+
 impl EpochCell {
-    /// A cell holding `initial` as generation `initial.generation` in
-    /// both slots, so [`EpochCell::read`] never observes an empty cell.
-    pub fn new(initial: Arc<ApSnapshot>) -> EpochCell {
-        EpochCell {
-            generation: AtomicU64::new(initial.generation),
-            slots: [RwLock::new(initial.clone()), RwLock::new(initial)],
-        }
+    /// A cell holding an empty generation-0 epoch, to be replaced by the
+    /// first [`EpochCell::publish`] before anyone reads it.
+    pub(crate) fn empty() -> EpochCell {
+        EpochCell(RwLock::new(Arc::new(ServiceEpoch {
+            generation: 0,
+            aps: Vec::new(),
+        })))
     }
 
-    /// The generation of the most recently published snapshot. One
-    /// relaxed-ish atomic load — callers poll this to skip a re-read
-    /// when nothing swapped.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
+    /// The current epoch. The read lock is held only to clone the `Arc`
+    /// (no code that can panic runs under either lock, so poisoning is
+    /// unreachable and tolerated).
+    pub(crate) fn read(&self) -> Arc<ServiceEpoch> {
+        self.0
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
-    /// A reference to the current snapshot. Never blocks on a swap in
-    /// progress: the writer never holds the active slot's lock, and
-    /// read locks are shared between readers (see module docs). A reader
-    /// that raced a swap may get the snapshot one generation behind the
-    /// freshest — a complete, consistent table either way.
+    /// Publishes `aps` as the next generation and returns it. The write
+    /// lock covers only the pointer exchange; the retired epoch is
+    /// dropped after the lock is released.
+    pub(crate) fn publish(&self, aps: Vec<Arc<ApSnapshot>>) -> u64 {
+        let generation = self.read().generation + 1;
+        let next = Arc::new(ServiceEpoch { generation, aps });
+        let retired = std::mem::replace(
+            &mut *self.0.write().unwrap_or_else(PoisonError::into_inner),
+            next,
+        );
+        drop(retired);
+        generation
+    }
+}
+
+/// One AP's read-only view of the current epoch (see
+/// [`Shard::cell`](crate::shard::Shard::cell)).
+pub struct ApCell<'a> {
+    pub(crate) cell: &'a EpochCell,
+    pub(crate) index: usize,
+}
+
+impl ApCell<'_> {
+    /// This AP's snapshot in the current epoch.
     pub fn read(&self) -> Arc<ApSnapshot> {
-        let mut spins = 0u32;
-        let snap = loop {
-            let gen = self.generation.load(Ordering::Acquire);
-            match self.slots[(gen & 1) as usize].try_read() {
-                Ok(slot) => break slot.clone(),
-                Err(TryLockError::Poisoned(p)) => break p.into_inner().clone(),
-                Err(TryLockError::WouldBlock) => {
-                    spins += 1;
-                    if spins <= SPIN_BUDGET {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        };
-        if spins > 0 {
-            truthcast_obs::add("service.epoch.reader_retries", u64::from(spins));
-            if spins > SPIN_BUDGET {
-                truthcast_obs::add("service.epoch.blocked_readers", 1);
-            }
-        }
-        snap
-    }
-
-    /// Publishes `next` as the new current snapshot and returns its
-    /// generation. `next` is taken by value so the cell can stamp its
-    /// `generation` field before it is ever shared — every settlement
-    /// carries the generation it was priced under. The snapshot is
-    /// written into the inactive slot and the write lock released, then
-    /// the generation bump makes it visible — the pointer exchange is
-    /// the entire reader-visible critical section.
-    ///
-    /// Single-writer: only the owning shard's epoch loop calls this
-    /// (structurally enforced — the caller holds the shard's engine
-    /// lock); two racing publishers could otherwise write the same slot.
-    pub(crate) fn publish(&self, mut next: ApSnapshot) -> u64 {
-        let gen = self.generation.load(Ordering::Acquire) + 1;
-        next.generation = gen;
-        let next = Arc::new(next);
-        match self.slots[(gen & 1) as usize].write() {
-            Ok(mut s) => *s = next,
-            Err(p) => *p.into_inner() = next,
-        }
-        self.generation.store(gen, Ordering::Release);
-        truthcast_obs::add("service.epoch.swaps", 1);
-        gen
+        self.cell.read().aps[self.index].clone()
     }
 }
 
@@ -167,48 +122,44 @@ impl EpochCell {
 mod tests {
     use super::*;
 
-    fn snap(generation: u64, ap: NodeId) -> ApSnapshot {
-        ApSnapshot {
-            generation,
-            node_epoch: 1,
+    fn snap(ap: NodeId) -> Arc<ApSnapshot> {
+        Arc::new(ApSnapshot {
             ap,
             ap_index: 0,
             outcome: EpochOutcome::Cold,
             pricing: vec![None, None],
-        }
+        })
     }
 
     #[test]
     fn read_returns_latest_published() {
-        let cell = EpochCell::new(Arc::new(snap(1, NodeId(0))));
-        assert_eq!(cell.generation(), 1);
+        let cell = EpochCell::empty();
+        assert_eq!(cell.read().generation, 0);
+        assert_eq!(cell.publish(vec![snap(NodeId(0))]), 1);
         assert_eq!(cell.read().generation, 1);
-        let g = cell.publish(snap(0, NodeId(0)));
-        assert_eq!(g, 2);
-        assert_eq!(cell.generation(), 2);
-        assert_eq!(cell.read().generation, 2);
-        cell.publish(snap(0, NodeId(0)));
-        assert_eq!(cell.read().generation, 3);
+        assert_eq!(cell.publish(vec![snap(NodeId(1))]), 2);
+        let epoch = cell.read();
+        assert_eq!(epoch.generation, 2);
+        assert_eq!(epoch.aps[0].ap, NodeId(1));
     }
 
     #[test]
-    fn retired_snapshots_drain_when_readers_finish() {
-        let cell = EpochCell::new(Arc::new(snap(1, NodeId(0))));
+    fn retired_epochs_drain_when_readers_finish() {
+        let cell = EpochCell::empty();
+        cell.publish(vec![snap(NodeId(0))]);
         let held = cell.read();
-        cell.publish(snap(0, NodeId(0)));
-        cell.publish(snap(0, NodeId(0)));
-        // The stale reader still sees a complete generation-1 snapshot.
+        cell.publish(vec![snap(NodeId(0))]);
+        // The stale reader still sees a complete generation-1 epoch, and
+        // is its last owner.
         assert_eq!(held.generation, 1);
-        // Both slots now hold newer snapshots; `held` is the last owner
-        // of generation 1.
         assert_eq!(Arc::strong_count(&held), 1);
         drop(held);
-        assert_eq!(cell.read().generation, 3);
+        assert_eq!(cell.read().generation, 2);
     }
 
     #[test]
     fn lcp_of_is_bounds_safe() {
-        let s = snap(1, NodeId(0));
+        let s = snap(NodeId(0));
         assert_eq!(s.lcp_of(NodeId(0)), None);
         assert_eq!(s.lcp_of(NodeId(99)), None);
     }

@@ -1,20 +1,20 @@
 //! The multi-tenant front-end: anycast session admission over k per-AP
 //! shards.
 //!
-//! [`PaymentService::serve_batch`] is the hot path. It reads every
-//! shard's current snapshot **once** per batch — amortizing the k cell
-//! reads over the whole batch and, more importantly, pinning the batch
-//! to one consistent set of generations so a swap landing mid-batch
-//! cannot make two sessions from the same batch price against different
-//! epochs. Pricing is then a pure function of (sources, snapshots):
-//! [`truthcast_rt::par_map`] fans the argmin over the front-end workers
-//! and collects results in index order, so the settled prices are
-//! bit-identical at any thread count — the same invariant every engine
-//! below this layer already holds. Only after pricing does the
-//! sequential admission loop walk the batch in index order and apply
-//! backpressure, which makes shed decisions deterministic too: whether
-//! session i is shed depends only on the sessions before it in the
-//! batch, never on worker scheduling.
+//! [`PaymentService::serve_batch`] is the hot path. It reads the
+//! service's current `ServiceEpoch` **once** per batch: one `Arc`
+//! clone holding all k AP tables of one generation, priced over one
+//! graph. An epoch landing mid-batch therefore cannot make two sessions
+//! from the same batch price against different epochs, and no batch
+//! can mix two node index spaces. Pricing is then a pure function of
+//! (sources, epoch): [`truthcast_rt::par_map`] fans the argmin over the
+//! front-end workers and collects results in index order, so the
+//! settled prices are bit-identical at any thread count — the same
+//! invariant every engine below this layer already holds. Only after
+//! pricing does the sequential admission loop walk the batch in index
+//! order and apply backpressure, which makes shed decisions
+//! deterministic too: whether session i is shed depends only on the
+//! sessions before it in the batch, never on worker scheduling.
 //!
 //! Anycast settlement: a session from source `v` considers every AP
 //! whose snapshot can price `v` and settles at the one with the
@@ -24,15 +24,15 @@
 //! battery in `tests/service_vs_library.rs` holds the service to that
 //! oracle bit-for-bit.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use truthcast_core::delta::EpochOutcome;
+use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
 use truthcast_core::UnicastPricing;
-use truthcast_graph::{NodeId, NodeMap, NodeWeightedGraph, QueueKind};
+use truthcast_graph::{NodeId, NodeMap, NodeWeightedGraph};
 use truthcast_rt::{default_threads, par_map};
 
-use crate::epoch::ApSnapshot;
+use crate::epoch::{ApSnapshot, EpochCell};
 use crate::shard::Shard;
 
 /// Configuration for a [`PaymentService`].
@@ -46,9 +46,6 @@ pub struct ServiceConfig {
     /// Bounded admission-queue capacity per shard; sessions settling on
     /// a full shard are shed.
     pub queue_capacity: usize,
-    /// Priority-queue engine handed to every shard's
-    /// [`IncrementalEngine`](truthcast_core::delta::IncrementalEngine).
-    pub kind: QueueKind,
     /// Damage threshold override for the shard engines (fraction of n
     /// above which an epoch's repair falls back to a cold sweep).
     /// `None` keeps the engine default / `TRUTHCAST_DELTA_THRESHOLD`.
@@ -58,14 +55,13 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config with `aps`, default threads, an effectively unbounded
-    /// queue, and the process-default queue engine.
+    /// A config with `aps`, default threads and an effectively unbounded
+    /// queue.
     pub fn new(aps: Vec<NodeId>) -> ServiceConfig {
         ServiceConfig {
             aps,
             threads: default_threads(),
             queue_capacity: usize::MAX,
-            kind: QueueKind::from_env(),
             damage_threshold: None,
         }
     }
@@ -79,12 +75,6 @@ impl ServiceConfig {
     /// Sets the per-shard bounded-queue capacity.
     pub fn queue_capacity(mut self, capacity: usize) -> ServiceConfig {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the priority-queue engine.
-    pub fn queue_kind(mut self, kind: QueueKind) -> ServiceConfig {
-        self.kind = kind;
         self
     }
 
@@ -104,8 +94,8 @@ pub struct Settlement {
     pub ap_index: usize,
     /// The winning access point.
     pub ap: NodeId,
-    /// Generation of the snapshot the session priced against — the
-    /// epoch the quoted payments are valid for.
+    /// Generation of the epoch the session priced against — the epoch
+    /// the quoted payments are valid for.
     pub generation: u64,
     /// The full VCG pricing toward the winning AP (path, LCP cost,
     /// per-relay payments).
@@ -123,8 +113,9 @@ pub enum ServeOutcome {
         /// Index of the shard that would have admitted the session.
         ap_index: usize,
     },
-    /// No AP's current snapshot can price this source (disconnected, or
-    /// the source is itself an AP / outside the epoch's node set).
+    /// No AP's snapshot in the current epoch can price this source
+    /// (disconnected, or the source is itself an AP / outside the
+    /// epoch's node set).
     Unreachable,
 }
 
@@ -140,24 +131,20 @@ impl ServeOutcome {
 
 /// The multi-tenant payment service: k per-AP engine shards behind an
 /// anycast batch front-end. See the module docs for the serving
-/// protocol and [`crate::epoch`] for the swap protocol.
+/// protocol and [`crate::epoch`] for the publication protocol.
 pub struct PaymentService {
     shards: Vec<Shard>,
     threads: usize,
-    /// Monotone stamp of the node *identity space*. Bumped by every
-    /// resize epoch — a non-identity [`NodeMap`], or a node-count change
-    /// under the unmapped `begin_epoch` — and stamped into every
-    /// snapshot, so `serve_batch` can refuse to mix snapshots whose
-    /// indices name different physical nodes.
-    node_epoch: AtomicU64,
-    /// Node count of the most recent epoch graph, to detect unmapped
-    /// resizes.
-    last_nodes: AtomicUsize,
+    /// The one publication point: all k tables of the current epoch.
+    epoch: Arc<EpochCell>,
+    /// Serializes epoch writers, so each `begin_epoch*` re-prices every
+    /// shard against the same previous epoch and publishes once.
+    writer: Mutex<()>,
 }
 
 impl PaymentService {
-    /// Builds the service and warms every shard's generation-1 snapshot
-    /// from `g0`. Also registers the service's counters with
+    /// Builds the service and warms the generation-1 tables of every
+    /// shard from `g0`. Also registers the service's counters with
     /// [`truthcast_obs`] so `summary_table` reports zeros for events
     /// that never fired (a shed counter that prints `0` is evidence of
     /// headroom; one that is absent is evidence of nothing).
@@ -183,44 +170,40 @@ impl PaymentService {
             "service.sessions.shed",
             "service.sessions.unreachable",
             "service.epoch.swaps",
-            "service.epoch.blocked_readers",
-            "service.epoch.reader_retries",
             "service.epoch.cold_resizes",
             "service.epoch.warm_resizes",
-            "service.epoch.stale_snapshots",
             "service.queue.drained",
             "service.load.stalls",
         ] {
             truthcast_obs::register(name);
         }
-        // Split the warm-path thread budget across shards: begin_epoch
-        // fans the k warms out in parallel, so handing every shard the
-        // full budget would run up to k×threads workers at once. Each
+        // Split the warm-path thread budget across shards: an epoch fans
+        // the k warms out in parallel, so handing every shard the full
+        // budget would run up to k×threads workers at once. Each
         // engine's output is thread-count independent (the project
         // invariant), so the split never changes a price.
         let warm_threads = (cfg.threads.max(1) / cfg.aps.len()).max(1);
+        let epoch = Arc::new(EpochCell::empty());
         let shards = cfg
             .aps
             .iter()
             .enumerate()
             .map(|(i, &ap)| {
-                Shard::new(
-                    ap,
-                    i,
-                    warm_threads,
-                    cfg.kind,
-                    cfg.damage_threshold,
-                    cfg.queue_capacity,
-                    g0,
-                )
+                let mut engine = IncrementalEngine::with_threads(warm_threads);
+                if let Some(t) = cfg.damage_threshold {
+                    engine.set_damage_threshold(t);
+                }
+                Shard::new(ap, i, engine, cfg.queue_capacity, epoch.clone())
             })
             .collect();
-        PaymentService {
+        let service = PaymentService {
             shards,
             threads: cfg.threads.max(1),
-            node_epoch: AtomicU64::new(1),
-            last_nodes: AtomicUsize::new(g0.num_nodes()),
-        }
+            epoch,
+            writer: Mutex::new(()),
+        };
+        service.advance(g0, None);
+        service
     }
 
     /// The per-AP shards, in AP-list order.
@@ -233,18 +216,23 @@ impl PaymentService {
         self.shards.len()
     }
 
-    /// Advances every shard to the epoch graph `g`: each shard re-warms
-    /// its tables and publishes a new snapshot. Shards warm in parallel
-    /// across the worker pool; each shard's engine was built with
-    /// `threads / k` workers (floor, min 1), so the total never exceeds
-    /// the configured budget — with k ≥ threads every warm runs
-    /// single-threaded and the whole budget goes to the fan-out.
-    /// Serving continues throughout: `&self`, and readers never
-    /// block on a swap.
+    /// Advances every shard to the epoch graph `g` and publishes the k
+    /// new tables as one epoch. Shards warm in parallel across the
+    /// worker pool; each shard's engine was built with `threads / k`
+    /// workers (floor, min 1), so the total never exceeds the configured
+    /// budget — with k ≥ threads every warm runs single-threaded and the
+    /// whole budget goes to the fan-out. Serving continues throughout:
+    /// `&self`, and readers keep the previous epoch until the one
+    /// pointer swap at the end.
     ///
     /// Returns each shard's [`EpochOutcome`], in shard order.
+    ///
+    /// # Panics
+    /// If any shard's engine panics. Nothing is published and every
+    /// shard re-warms cold on the next epoch.
     pub fn begin_epoch(&self, g: &NodeWeightedGraph) -> Vec<EpochOutcome> {
-        self.begin_epoch_inner(g, None)
+        let _span = truthcast_obs::span("service.begin_epoch");
+        self.advance(g, None)
     }
 
     /// Advances every shard to the epoch graph `g` *through churn*: the
@@ -253,16 +241,16 @@ impl PaymentService {
     /// join/leave instead of re-warming cold
     /// ([`EpochOutcome::WarmResize`] instead of
     /// [`EpochOutcome::ColdResize`], bit-identical tables either way).
-    /// A non-identity map bumps the service's node epoch, which
-    /// `serve_batch` uses to keep in-flight batches from mixing
-    /// snapshots across the identity swap.
     ///
     /// # Panics
     /// If any shard's AP does not keep its index under `map` — APs are
     /// the service's fixed infrastructure; churn is for the client node
     /// population. (Encode AP-preserving renumberings accordingly, e.g.
     /// keep APs in the low indices so `leave_swap` never moves them.)
+    /// Also as [`PaymentService::begin_epoch`] if a shard panics, for
+    /// instance on a map whose lengths do not match the two graphs.
     pub fn begin_epoch_mapped(&self, g: &NodeWeightedGraph, map: &NodeMap) -> Vec<EpochOutcome> {
+        let _span = truthcast_obs::span("service.begin_epoch");
         for s in &self.shards {
             assert_eq!(
                 map.to_new(s.ap),
@@ -271,32 +259,36 @@ impl PaymentService {
                 s.ap
             );
         }
-        self.begin_epoch_inner(g, Some(map))
+        self.advance(g, Some(map))
     }
 
-    fn begin_epoch_inner(&self, g: &NodeWeightedGraph, map: Option<&NodeMap>) -> Vec<EpochOutcome> {
-        let _span = truthcast_obs::span("service.begin_epoch");
-        let count_changed = self.last_nodes.swap(g.num_nodes(), Ordering::AcqRel) != g.num_nodes();
-        let resized = count_changed || map.is_some_and(|m| !m.is_identity());
-        let node_epoch = if resized {
-            self.node_epoch.fetch_add(1, Ordering::AcqRel) + 1
-        } else {
-            self.node_epoch.load(Ordering::Acquire)
-        };
+    /// Re-prices all k shards, then publishes their tables in one swap.
+    fn advance(&self, g: &NodeWeightedGraph, map: Option<&NodeMap>) -> Vec<EpochOutcome> {
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let k = self.shards.len();
-        par_map(k, self.threads.min(k), |i| {
-            self.shards[i].begin_epoch(g, map, node_epoch).1
-        })
+        let priced = catch_unwind(AssertUnwindSafe(|| {
+            par_map(k, self.threads.min(k), |i| self.shards[i].price(g, map))
+        }));
+        let aps = match priced {
+            Ok(aps) => aps,
+            Err(panic) => {
+                for s in &self.shards {
+                    s.reset();
+                }
+                resume_unwind(panic);
+            }
+        };
+        let outcomes = aps.iter().map(|s| s.outcome).collect();
+        // Generation 1 is the construction warm-up, not a swap.
+        if self.epoch.publish(aps) > 1 {
+            truthcast_obs::add("service.epoch.swaps", 1);
+        }
+        outcomes
     }
 
-    /// Lowest published generation across shards — the epoch the whole
-    /// service has reached.
+    /// Generation of the current epoch.
     pub fn generation(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.cell().generation())
-            .min()
-            .unwrap_or(0)
+        self.epoch.read().generation
     }
 
     /// Prices and admits a batch of sessions; `out[i]` is session `i`'s
@@ -304,39 +296,9 @@ impl PaymentService {
     pub fn serve_batch(&self, sources: &[NodeId]) -> Vec<ServeOutcome> {
         let _span = truthcast_obs::span("service.serve_batch");
         truthcast_obs::add("service.sessions.offered", sources.len() as u64);
-        // One consistent set of snapshots for the whole batch.
-        let mut snaps: Vec<Arc<ApSnapshot>> = self.shards.iter().map(|s| s.cell().read()).collect();
-        // Resize-swap consistency: if the k reads straddled a resize,
-        // some snapshots index the old node space and some the new — a
-        // source index would name two different physical nodes, and the
-        // anycast argmin would compare prices across incompatible
-        // worlds. A lagging shard means its publish for the current
-        // node epoch is still in flight (the epoch driver publishes
-        // every shard each epoch), so re-read laggards until the set
-        // agrees; each re-read round counts under
-        // `service.epoch.stale_snapshots`. Mixed *generations* within
-        // one node epoch remain fine — same index space.
-        let mut rounds = 0u32;
-        loop {
-            let node_epoch = snaps.iter().map(|s| s.node_epoch).max().unwrap_or(0);
-            if snaps.iter().all(|s| s.node_epoch == node_epoch) {
-                break;
-            }
-            truthcast_obs::add("service.epoch.stale_snapshots", 1);
-            rounds += 1;
-            if rounds > 64 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-            for (i, shard) in self.shards.iter().enumerate() {
-                if snaps[i].node_epoch < node_epoch {
-                    snaps[i] = shard.cell().read();
-                }
-            }
-        }
+        let epoch = self.epoch.read();
         let priced = par_map(sources.len(), self.threads, |i| {
-            settle_one(sources[i], &snaps)
+            settle_one(sources[i], &epoch.aps)
         });
         let mut out = Vec::with_capacity(priced.len());
         for (i, won) in priced.into_iter().enumerate() {
@@ -346,12 +308,11 @@ impl PaymentService {
                     ServeOutcome::Unreachable
                 }
                 Some((ap_index, pricing)) => {
-                    let snap = &snaps[ap_index];
                     let s = Settlement {
                         source: sources[i],
                         ap_index,
-                        ap: snap.ap,
-                        generation: snap.generation,
+                        ap: epoch.aps[ap_index].ap,
+                        generation: epoch.generation,
                         pricing,
                     };
                     if self.shards[ap_index].admit(s.clone()) {
@@ -378,9 +339,8 @@ impl PaymentService {
 
 /// The anycast argmin: cheapest declared LCP cost across the k
 /// snapshots, exact-cost ties broken toward the lowest AP index (strict
-/// `<` while scanning in index order). The caller hands over a set that
-/// agrees on the node epoch, so every snapshot's indices name the same
-/// physical nodes. Pure — no locks, no atomics on the decision path —
+/// `<` while scanning in index order). All snapshots come from one
+/// epoch, so their indices name the same physical nodes. Pure — no locks, no atomics on the decision path —
 /// so the batch fan-out stays bit-deterministic.
 fn settle_one(source: NodeId, snaps: &[Arc<ApSnapshot>]) -> Option<(usize, UnicastPricing)> {
     let mut best: Option<(usize, &UnicastPricing)> = None;

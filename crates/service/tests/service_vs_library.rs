@@ -8,8 +8,8 @@
 //! the same thing through shards, snapshots, and the batched parallel
 //! front-end — so every settlement's winning AP, generation, path, LCP
 //! cost, and per-relay payments must match the oracle bit for bit at
-//! every thread count, under both queue kinds, across epochs, and on
-//! instances engineered so two APs quote *exactly* equal costs.
+//! every thread count, across epochs, and on instances engineered so
+//! two APs quote *exactly* equal costs.
 //!
 //! Shed decisions are part of the contract too: with a bounded queue
 //! the outcome vector (who settled, who shed, in batch order) must be
@@ -22,7 +22,7 @@ use truthcast_core::all_sources_payments;
 use truthcast_core::UnicastPricing;
 use truthcast_graph::generators::{erdos_renyi, pairs_within_range, random_placement};
 use truthcast_graph::geometry::Region;
-use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeWeightedGraph, QueueKind};
+use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeWeightedGraph};
 use truthcast_rt::{bools, cases, forall, prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
 use truthcast_service::{PaymentService, ServeOutcome, ServiceConfig};
 
@@ -144,42 +144,6 @@ fn anycast_matches_argmin_of_library_runs() {
             let service = PaymentService::new(&cfg, &g);
             check_batch(&service, &g, &aps, 1)?;
         }
-        Ok(())
-    });
-}
-
-/// Both queue kinds must settle identically (each kind is internally
-/// consistent between the shard engines and the library oracle runs,
-/// which share the process-default kind — so pin the oracle's kind by
-/// comparing service-vs-service across kinds *and* service-vs-oracle on
-/// the default kind).
-#[test]
-fn both_queue_kinds_settle_identically() {
-    forall!(cases(8), (0u64..1 << 48, bools()), |(seed, ties)| {
-        let (g, aps) = instance(seed, false, ties);
-        let sources: Vec<NodeId> = (0..g.num_nodes() as u32).map(NodeId).collect();
-        let mut per_kind = Vec::new();
-        for kind in [QueueKind::Radix, QueueKind::Binary] {
-            let cfg = ServiceConfig::new(aps.clone()).threads(2).queue_kind(kind);
-            let service = PaymentService::new(&cfg, &g);
-            if kind == QueueKind::from_env() {
-                check_batch(&service, &g, &aps, 1)?;
-            }
-            per_kind.push(
-                service
-                    .serve_batch(&sources)
-                    .iter()
-                    .map(|o| match o {
-                        ServeOutcome::Settled(s) => {
-                            Some((s.ap_index, s.pricing.lcp_cost, s.pricing.total_payment()))
-                        }
-                        ServeOutcome::Shed { .. } => unreachable!("unbounded queue"),
-                        ServeOutcome::Unreachable => None,
-                    })
-                    .collect::<Vec<_>>(),
-            );
-        }
-        prop_assert_eq!(&per_kind[0], &per_kind[1], "radix vs binary settlement");
         Ok(())
     });
 }

@@ -11,6 +11,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+# The plain `cargo test` above covers only the facade package; the
+# service batteries and the warm-resize churn battery run here too.
+echo "==> service batteries + warm-resize churn battery"
+cargo test -q --offline -p truthcast-service
+cargo test -q --offline -p truthcast-core --test resize_vs_cold
+
 # Bench smoke test: compile every bench target and run one short sample
 # of each into a scratch dir — no thresholds, just "the suite still runs
 # and emits reports". Committed snapshots are untouched.
