@@ -75,6 +75,14 @@
 //! row-damage set. The outcome is [`EpochOutcome::WarmResize`], under
 //! the same damage-threshold contract.
 //!
+//! **Shared output.** The engine keeps its table as a [`PricingTable`]
+//! (`Arc`) and hands out reference-counted clones, so a zero-delta
+//! ([`EpochOutcome::Reused`]) epoch returns in O(1). Writes go through
+//! copy-on-write: a repaired epoch whose previous table a caller still
+//! holds starts a new table from copies of the rows it keeps, then
+//! writes the re-priced ones; cold and fallback epochs build a fresh
+//! table. A held table is therefore never mutated.
+//!
 //! Observability: `core.delta.{deltas,dirty_nodes,repaired_slices,
 //! fallbacks,cold_resizes,warm_resizes,born,died,reuses,subtree_runs,
 //! row_repairs,row_rebuilds}` counters — all registered at engine
@@ -95,7 +103,7 @@
 //! cold sweep's tie-breaking — and the differential battery in
 //! `crates/core/tests/incremental_vs_cold.rs` holds it to that.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use truthcast_graph::heap::IndexedHeap;
 use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
@@ -114,6 +122,12 @@ use crate::trace::audit_unicast;
 /// Fraction of `n` the dirty region (plus seeds) may reach before
 /// [`IncrementalEngine`] abandons repair for a cold sweep.
 pub const DEFAULT_DAMAGE_THRESHOLD: f64 = 0.25;
+
+/// One epoch's all-to-AP table as [`IncrementalEngine`] returns it:
+/// `table[v]` is source `v`'s pricing toward the AP. Never mutated once
+/// returned — the engine writes copy-on-write (see the module docs), so
+/// a held table keeps the epoch it was priced in.
+pub type PricingTable = Arc<Vec<Option<UnicastPricing>>>;
 
 fn damage_threshold_from_env() -> f64 {
     static T: OnceLock<f64> = OnceLock::new();
@@ -480,10 +494,10 @@ pub enum EpochOutcome {
 ///
 /// let mut engine = IncrementalEngine::new();
 /// let ap = NodeId(3);
-/// assert_eq!(engine.price_epoch(&e0, ap), all_sources_payments(&e0, ap));
+/// assert_eq!(*engine.price_epoch(&e0, ap), all_sources_payments(&e0, ap));
 /// assert_eq!(engine.last_outcome(), EpochOutcome::Cold);
 /// // Node 2 re-declares: only its branch is repaired, same table as cold.
-/// assert_eq!(engine.price_epoch(&e1, ap), all_sources_payments(&e1, ap));
+/// assert_eq!(*engine.price_epoch(&e1, ap), all_sources_payments(&e1, ap));
 /// assert!(matches!(engine.last_outcome(), EpochOutcome::Repaired { .. }));
 /// ```
 pub struct IncrementalEngine {
@@ -505,7 +519,9 @@ pub struct IncrementalEngine {
     /// values survived an epoch.
     row_via: Vec<Vec<u32>>,
     row_stale: Vec<bool>,
-    out: Vec<Option<UnicastPricing>>,
+    /// The current epoch's table, shared copy-on-write with every caller
+    /// that still holds an earlier return value (see [`PricingTable`]).
+    out: PricingTable,
     prev: Option<(NodeWeightedGraph, NodeId)>,
     touched: Vec<bool>,
     /// Pre-repair snapshots of the distance and parent tables, taken at
@@ -567,7 +583,7 @@ impl IncrementalEngine {
             rows: Vec::new(),
             row_via: Vec::new(),
             row_stale: Vec::new(),
-            out: Vec::new(),
+            out: Arc::new(Vec::new()),
             prev: None,
             touched: Vec::new(),
             old_dist: Vec::new(),
@@ -637,11 +653,7 @@ impl IncrementalEngine {
     /// `out[i]` is bit-identical to [`crate::all_sources_payments`]
     /// (and so to [`crate::fast_payments`]); index `ap` and unreachable
     /// sources hold `None`.
-    pub fn price_epoch(
-        &mut self,
-        g: &NodeWeightedGraph,
-        ap: NodeId,
-    ) -> Vec<Option<UnicastPricing>> {
+    pub fn price_epoch(&mut self, g: &NodeWeightedGraph, ap: NodeId) -> PricingTable {
         let _span = truthcast_obs::span("core.delta.price_epoch");
         let n = g.num_nodes();
         match self.prev.take() {
@@ -651,7 +663,7 @@ impl IncrementalEngine {
                     truthcast_obs::add("core.delta.reuses", 1);
                     self.prev = Some((pg, pap));
                     self.last_outcome = EpochOutcome::Reused;
-                    return self.out.clone();
+                    return Arc::clone(&self.out);
                 }
                 truthcast_obs::add("core.delta.deltas", delta.len() as u64);
                 let region = {
@@ -695,7 +707,7 @@ impl IncrementalEngine {
             }
         }
         self.prev = Some((g.clone(), ap));
-        self.out.clone()
+        Arc::clone(&self.out)
     }
 
     /// [`IncrementalEngine::price_epoch`] across a resize: `map` carries
@@ -719,7 +731,7 @@ impl IncrementalEngine {
         g: &NodeWeightedGraph,
         ap: NodeId,
         map: &NodeMap,
-    ) -> Vec<Option<UnicastPricing>> {
+    ) -> PricingTable {
         assert_eq!(
             map.new_len(),
             g.num_nodes(),
@@ -749,7 +761,7 @@ impl IncrementalEngine {
             }
         }
         self.prev = Some((g.clone(), ap));
-        self.out.clone()
+        Arc::clone(&self.out)
     }
 
     /// The cross-resize pipeline: translate warm state under the map,
@@ -910,7 +922,7 @@ impl IncrementalEngine {
                 out[nv.index()] = remap_pricing(p, map);
             }
         }
-        self.out = out;
+        self.out = Arc::new(out);
 
         let mut fallback = vec![false; new_n];
         for (i, &fb) in old_shared.fallback.iter().enumerate() {
@@ -965,8 +977,8 @@ impl IncrementalEngine {
             }
         }
         self.run_relays(g, &shared, &xs);
-        self.out.clear();
-        self.out.resize(n, None);
+        // A fresh table: one a caller still holds is left to them.
+        self.out = Arc::new(vec![None; n]);
         let everything = vec![true; n];
         self.assemble(g, ap, &shared, &everything);
         self.shared = Some(shared);
@@ -1348,22 +1360,40 @@ impl IncrementalEngine {
         let _s = truthcast_obs::span("delta.assemble");
         let n = g.num_nodes();
         let iv = &shared.iv;
+        // Selected sources, plus every in-tree fallback source.
+        let rewritten = |v: NodeId| {
+            v != ap && (sel[v.index()] || (shared.fallback[v.index()] && iv.in_tree(v)))
+        };
+        if Arc::get_mut(&mut self.out).is_none() {
+            // The previous table is still held: start from a copy of the
+            // rows this epoch keeps, not of the rows it rewrites.
+            let prev = &self.out;
+            self.out = Arc::new(
+                g.node_ids()
+                    .map(|v| {
+                        if rewritten(v) {
+                            None
+                        } else {
+                            prev[v.index()].clone()
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        let out = Arc::get_mut(&mut self.out).expect("the table was just made unique");
         let mut fb: Vec<NodeId> = Vec::new();
         let mut repriced = 0usize;
         for v in g.node_ids() {
-            if v == ap {
+            if !rewritten(v) {
                 continue;
             }
             if shared.fallback[v.index()] && iv.in_tree(v) {
                 fb.push(v);
                 continue;
             }
-            if !sel[v.index()] {
-                continue;
-            }
             repriced += 1;
             if !iv.in_tree(v) {
-                self.out[v.index()] = None;
+                out[v.index()] = None;
                 continue;
             }
             let path = tree_path(&self.parent, v);
@@ -1389,7 +1419,7 @@ impl IncrementalEngine {
                     (r, self.rows[r.index()][off - 1], g.cost(r), p)
                 }),
             );
-            self.out[v.index()] = Some(UnicastPricing {
+            out[v.index()] = Some(UnicastPricing {
                 path,
                 lcp_cost,
                 payments,
@@ -1417,7 +1447,7 @@ impl IncrementalEngine {
                 },
             );
             for (&v, p) in fb.iter().zip(priced) {
-                self.out[v.index()] = p;
+                out[v.index()] = p;
             }
         }
         self.last_fallback_sources = fb.len();
@@ -1667,7 +1697,7 @@ mod tests {
         let second = e.price_epoch(&g, NodeId(3));
         assert_eq!(e.last_outcome(), EpochOutcome::Reused);
         assert_eq!(first, second);
-        assert_eq!(first, all_sources_payments(&g, NodeId(3)));
+        assert_eq!(*first, all_sources_payments(&g, NodeId(3)));
     }
 
     #[test]
@@ -1679,7 +1709,7 @@ mod tests {
         let g1 = units(&pairs, &[0, 5, 3, 0]);
         let got = e.price_epoch(&g1, ap);
         assert!(matches!(e.last_outcome(), EpochOutcome::Repaired { .. }));
-        assert_eq!(got, all_sources_payments(&g1, ap));
+        assert_eq!(*got, all_sources_payments(&g1, ap));
         let (dist, _) = e.tables();
         let mut cold = crate::AllSourcesEngine::with_threads(1);
         cold.price_all_sources(&g1, ap);
@@ -1695,7 +1725,7 @@ mod tests {
         let g1 = units(&pairs, &[0, 4, 2]);
         let got = e.price_epoch(&g1, ap);
         assert!(matches!(e.last_outcome(), EpochOutcome::Fallback { .. }));
-        assert_eq!(got, all_sources_payments(&g1, ap));
+        assert_eq!(*got, all_sources_payments(&g1, ap));
     }
 
     #[test]
@@ -1715,7 +1745,7 @@ mod tests {
             }
         );
         assert_eq!(before, after);
-        assert_eq!(after, all_sources_payments(&g1, ap));
+        assert_eq!(*after, all_sources_payments(&g1, ap));
     }
 
     #[test]
@@ -1731,9 +1761,9 @@ mod tests {
         let t1 = e.price_epoch(&cut, ap);
         assert!(matches!(e.last_outcome(), EpochOutcome::Repaired { .. }));
         assert!(t1[2].is_none());
-        assert_eq!(t1, all_sources_payments(&cut, ap));
+        assert_eq!(*t1, all_sources_payments(&cut, ap));
         let t2 = e.price_epoch(&full, ap);
-        assert_eq!(t2, all_sources_payments(&full, ap));
+        assert_eq!(*t2, all_sources_payments(&full, ap));
         assert!(t2[2].is_some());
     }
 
@@ -1748,7 +1778,7 @@ mod tests {
             e.last_outcome(),
             EpochOutcome::ColdResize { from: 2, to: 3 }
         );
-        assert_eq!(got, all_sources_payments(&bigger, ap));
+        assert_eq!(*got, all_sources_payments(&bigger, ap));
     }
 
     #[test]
@@ -1803,7 +1833,7 @@ mod tests {
                 repaired: 2,
             }
         );
-        assert_eq!(got, all_sources_payments(&g1, ap));
+        assert_eq!(*got, all_sources_payments(&g1, ap));
         let mut cold = crate::AllSourcesEngine::with_threads(1);
         cold.price_all_sources(&g1, ap);
         assert_eq!(e.tables().0, cold.tables().0);
@@ -1832,7 +1862,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(got, all_sources_payments(&g1, ap));
+        assert_eq!(*got, all_sources_payments(&g1, ap));
         // A further identity epoch reuses the warm tables.
         let got2 = e.price_epoch_mapped(&g1, ap, &NodeMap::identity(4));
         assert_eq!(e.last_outcome(), EpochOutcome::Reused);
@@ -1848,7 +1878,7 @@ mod tests {
         let g1 = units(&[(0, 1), (1, 2)], &[0, 4, 5]);
         let got = e.price_epoch_mapped(&g1, ap, &NodeMap::join(2, 1));
         assert!(matches!(e.last_outcome(), EpochOutcome::Fallback { .. }));
-        assert_eq!(got, all_sources_payments(&g1, ap));
+        assert_eq!(*got, all_sources_payments(&g1, ap));
     }
 
     #[test]
@@ -1860,7 +1890,7 @@ mod tests {
         let g1 = units(&[(0, 1)], &[0, 4]);
         let got = e.price_epoch_mapped(&g1, NodeId(0), &NodeMap::leave_swap(3, NodeId(2)));
         assert_eq!(e.last_outcome(), EpochOutcome::Cold);
-        assert_eq!(got, all_sources_payments(&g1, NodeId(0)));
+        assert_eq!(*got, all_sources_payments(&g1, NodeId(0)));
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! Case count scales with `TRUTHCAST_CASES` (the CI heavy battery sets
 //! it); a failure prints the `TRUTHCAST_SEED` that reproduces it.
 
+use std::sync::Arc;
+
 use truthcast_core::all_sources::AllSourcesEngine;
+use truthcast_core::all_sources_payments;
 use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
 use truthcast_graph::generators::{erdos_renyi, pairs_within_range, random_placement};
 use truthcast_graph::geometry::Region;
@@ -145,7 +148,7 @@ fn check_trace(
         let expected = cold.price_all_sources(g, ap);
         let outcome = engine.last_outcome();
         prop_assert_eq!(
-            &got,
+            &*got,
             &expected,
             "payments diverged: epoch={} outcome={:?}",
             epoch,
@@ -267,7 +270,7 @@ fn tie_ambiguity_flip_stays_exact() {
     for (epoch, g) in graphs.iter().enumerate() {
         let got = engine.price_epoch(g, ap);
         let expected = AllSourcesEngine::with_threads(2).price_all_sources(g, ap);
-        assert_eq!(got, expected, "epoch {epoch}");
+        assert_eq!(*got, expected, "epoch {epoch}");
         if epoch > 0 {
             assert!(
                 matches!(engine.last_outcome(), EpochOutcome::Repaired { .. }),
@@ -309,11 +312,74 @@ fn ap_disconnect_and_reconnect_stays_exact() {
     for (epoch, g) in graphs.iter().enumerate() {
         let got = engine.price_epoch(g, ap);
         let expected = AllSourcesEngine::with_threads(2).price_all_sources(g, ap);
-        assert_eq!(got, expected, "epoch {epoch}");
+        assert_eq!(*got, expected, "epoch {epoch}");
     }
     assert!(
         matches!(engine.last_outcome(), EpochOutcome::Repaired { .. }),
         "{:?}",
         engine.last_outcome()
     );
+}
+
+/// The engine's table is shared copy-on-write: a table returned at
+/// epoch t is never written again. Held across a repaired epoch (which
+/// overwrites rows) and a fallback epoch (which rebuilds the table), it
+/// still equals epoch t's cold oracle; a zero-delta epoch hands back
+/// the very same table, and a repaired epoch a distinct one.
+#[test]
+fn held_tables_survive_later_epochs() {
+    const N: usize = 40;
+    let mut rng = SmallRng::seed_from_u64(0xC0DE);
+    let points = random_placement(N, Region::new(1000.0, 1000.0), &mut rng);
+    let pairs: Vec<(u32, u32)> = pairs_within_range(&points, 300.0)
+        .into_iter()
+        .map(|(u, v)| (u.0, v.0))
+        .collect();
+    let costs = random_costs(N, &mut rng, false);
+    let g0 = NodeWeightedGraph::new(adjacency_from_pairs(N, &pairs), costs);
+    let ap = NodeId(0);
+
+    let mut engine = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
+    let t0 = engine.price_epoch(&g0, ap);
+    assert_eq!(engine.last_outcome(), EpochOutcome::Cold);
+    let reused = engine.price_epoch(&g0, ap);
+    assert_eq!(engine.last_outcome(), EpochOutcome::Reused);
+    assert!(
+        Arc::ptr_eq(&t0, &reused),
+        "a zero-delta epoch copies nothing"
+    );
+    drop(reused);
+
+    // Make the first relay on any path dearer: every source routed
+    // through it is re-priced, so a write into `t0` would show.
+    let relay = t0
+        .iter()
+        .flatten()
+        .find_map(|p| p.payments.first())
+        .expect("the fixture has a multi-hop path")
+        .0;
+    let g1 = g0.with_declared(relay, g0.cost(relay).saturating_add(Cost::from_units(1000)));
+    let t1 = engine.price_epoch(&g1, ap);
+    assert!(
+        matches!(engine.last_outcome(), EpochOutcome::Repaired { .. }),
+        "{:?}",
+        engine.last_outcome()
+    );
+    assert!(
+        !Arc::ptr_eq(&t0, &t1),
+        "a repaired epoch returns a new table"
+    );
+    assert_ne!(*t0, *t1, "the repair re-priced rows");
+
+    engine.set_damage_threshold(0.0);
+    let t2 = engine.price_epoch(&g0, ap);
+    assert!(
+        matches!(engine.last_outcome(), EpochOutcome::Fallback { .. }),
+        "{:?}",
+        engine.last_outcome()
+    );
+
+    assert_eq!(*t0, all_sources_payments(&g0, ap));
+    assert_eq!(*t1, all_sources_payments(&g1, ap));
+    assert_eq!(*t2, all_sources_payments(&g0, ap));
 }

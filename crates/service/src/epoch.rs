@@ -16,9 +16,8 @@
 
 use std::sync::{Arc, PoisonError, RwLock};
 
-use truthcast_core::delta::EpochOutcome;
-use truthcast_core::UnicastPricing;
-use truthcast_graph::{Cost, NodeId};
+use truthcast_core::delta::{EpochOutcome, PricingTable};
+use truthcast_graph::NodeId;
 
 /// One access point's immutable pricing state for one epoch: every
 /// source's unicast pricing toward this AP, pre-computed by the shard's
@@ -38,18 +37,12 @@ pub struct ApSnapshot {
     pub outcome: EpochOutcome,
     /// `pricing[v]` is source `v`'s pricing toward [`ApSnapshot::ap`],
     /// bit-identical to `all_sources_payments(g, ap)[v]`; `None` for the
-    /// AP itself and unreachable sources.
-    pub pricing: Vec<Option<UnicastPricing>>,
+    /// AP itself and unreachable sources. The very table the shard's
+    /// engine returned, shared rather than copied.
+    pub pricing: PricingTable,
 }
 
 impl ApSnapshot {
-    /// The declared least-cost-path cost from `v` to this AP — the
-    /// anycast settlement key. `None` if `v` cannot reach this AP (or
-    /// lies outside this epoch's node set after a resize).
-    pub fn lcp_of(&self, v: NodeId) -> Option<Cost> {
-        self.pricing.get(v.index())?.as_ref().map(|p| p.lcp_cost)
-    }
-
     /// Number of nodes in the epoch this snapshot was priced over.
     pub fn num_nodes(&self) -> usize {
         self.pricing.len()
@@ -127,7 +120,7 @@ mod tests {
             ap,
             ap_index: 0,
             outcome: EpochOutcome::Cold,
-            pricing: vec![None, None],
+            pricing: Arc::new(vec![None, None]),
         })
     }
 
@@ -155,12 +148,5 @@ mod tests {
         assert_eq!(Arc::strong_count(&held), 1);
         drop(held);
         assert_eq!(cell.read().generation, 2);
-    }
-
-    #[test]
-    fn lcp_of_is_bounds_safe() {
-        let s = snap(NodeId(0));
-        assert_eq!(s.lcp_of(NodeId(0)), None);
-        assert_eq!(s.lcp_of(NodeId(99)), None);
     }
 }

@@ -40,5 +40,5 @@ pub mod shard;
 
 pub use epoch::{ApCell, ApSnapshot};
 pub use loadgen::{run_load, ArrivalMode, LoadConfig, LoadReport};
-pub use service::{PaymentService, ServeOutcome, ServiceConfig, Settlement};
+pub use service::{PaymentService, ServeOutcome, ServiceConfig, SettledPricing, Settlement};
 pub use shard::Shard;

@@ -11,10 +11,17 @@
 //! front-end workers and collects results in index order, so the
 //! settled prices are bit-identical at any thread count — the same
 //! invariant every engine below this layer already holds. Only after
-//! pricing does the sequential admission loop walk the batch in index
-//! order and apply backpressure, which makes shed decisions
-//! deterministic too: whether session i is shed depends only on the
-//! sessions before it in the batch, never on worker scheduling.
+//! pricing does admission apply backpressure, shard by shard: each
+//! shard locks its queue once and admits its winners in batch order,
+//! which makes shed decisions deterministic too: whether session i is
+//! shed depends only on the sessions before it in the batch that won
+//! the same shard, never on worker scheduling.
+//!
+//! A [`Settlement`] copies nothing out of the epoch. Its
+//! [`SettledPricing`] is a reference-counted handle on the winning AP's
+//! snapshot plus the source's row index, so settling, queueing and
+//! cloning a session each cost a refcount increment, and a held
+//! settlement keeps that AP's table alive after later epochs retire it.
 //!
 //! Anycast settlement: a session from source `v` considers every AP
 //! whose snapshot can price `v` and settles at the one with the
@@ -24,6 +31,8 @@
 //! battery in `tests/service_vs_library.rs` holds the service to that
 //! oracle bit-for-bit.
 
+use std::fmt;
+use std::ops::Deref;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -98,8 +107,40 @@ pub struct Settlement {
     /// the quoted payments are valid for.
     pub generation: u64,
     /// The full VCG pricing toward the winning AP (path, LCP cost,
-    /// per-relay payments).
-    pub pricing: UnicastPricing,
+    /// per-relay payments), read in place from the epoch's table.
+    pub pricing: SettledPricing,
+}
+
+/// A settled session's [`UnicastPricing`], viewed in place: the winning
+/// AP's snapshot and the source's row in it. Dereferences to the row;
+/// cloning it is one refcount increment, and while it lives it keeps
+/// the snapshot's table alive.
+#[derive(Clone)]
+pub struct SettledPricing {
+    snap: Arc<ApSnapshot>,
+    source: NodeId,
+}
+
+impl Deref for SettledPricing {
+    type Target = UnicastPricing;
+
+    fn deref(&self) -> &UnicastPricing {
+        self.snap.pricing[self.source.index()]
+            .as_ref()
+            .expect("a settlement is made only from a priced row")
+    }
+}
+
+impl fmt::Debug for SettledPricing {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl PartialEq<UnicastPricing> for SettledPricing {
+    fn eq(&self, other: &UnicastPricing) -> bool {
+        **self == *other
+    }
 }
 
 /// Per-session result of [`PaymentService::serve_batch`].
@@ -295,34 +336,45 @@ impl PaymentService {
     /// outcome. See the module docs for the determinism argument.
     pub fn serve_batch(&self, sources: &[NodeId]) -> Vec<ServeOutcome> {
         let _span = truthcast_obs::span("service.serve_batch");
-        truthcast_obs::add("service.sessions.offered", sources.len() as u64);
         let epoch = self.epoch.read();
-        let priced = par_map(sources.len(), self.threads, |i| {
+        let won = par_map(sources.len(), self.threads, |i| {
             settle_one(sources[i], &epoch.aps)
         });
-        let mut out = Vec::with_capacity(priced.len());
-        for (i, won) in priced.into_iter().enumerate() {
-            let outcome = match won {
-                None => {
-                    truthcast_obs::add("service.sessions.unreachable", 1);
-                    ServeOutcome::Unreachable
-                }
-                Some((ap_index, pricing)) => {
-                    let s = Settlement {
-                        source: sources[i],
-                        ap_index,
-                        ap: epoch.aps[ap_index].ap,
-                        generation: epoch.generation,
-                        pricing,
-                    };
-                    if self.shards[ap_index].admit(s.clone()) {
-                        ServeOutcome::Settled(s)
-                    } else {
-                        ServeOutcome::Shed { ap_index }
-                    }
-                }
-            };
-            out.push(outcome);
+        // Every winner is shed unless its shard admits it below.
+        let mut out: Vec<ServeOutcome> = won
+            .iter()
+            .map(|w| match *w {
+                Some(ap_index) => ServeOutcome::Shed { ap_index },
+                None => ServeOutcome::Unreachable,
+            })
+            .collect();
+        let winners = won.iter().flatten().count() as u64;
+        let mut settled = 0;
+        for shard in &self.shards {
+            let snap = &epoch.aps[shard.index];
+            settled += shard.admit_batch(&mut out, |i| Settlement {
+                source: sources[i],
+                ap_index: shard.index,
+                ap: snap.ap,
+                generation: epoch.generation,
+                pricing: SettledPricing {
+                    snap: Arc::clone(snap),
+                    source: sources[i],
+                },
+            });
+        }
+        for (name, n) in [
+            ("service.sessions.offered", sources.len() as u64),
+            ("service.sessions.settled", settled),
+            ("service.sessions.shed", winners - settled),
+            (
+                "service.sessions.unreachable",
+                sources.len() as u64 - winners,
+            ),
+        ] {
+            if n > 0 {
+                truthcast_obs::add(name, n);
+            }
         }
         out
     }
@@ -331,18 +383,19 @@ impl PaymentService {
     pub fn drain(&self) -> Vec<Settlement> {
         let mut all = Vec::new();
         for s in &self.shards {
-            all.extend(s.drain());
+            s.drain_into(&mut all);
         }
         all
     }
 }
 
-/// The anycast argmin: cheapest declared LCP cost across the k
-/// snapshots, exact-cost ties broken toward the lowest AP index (strict
-/// `<` while scanning in index order). All snapshots come from one
-/// epoch, so their indices name the same physical nodes. Pure — no locks, no atomics on the decision path —
-/// so the batch fan-out stays bit-deterministic.
-fn settle_one(source: NodeId, snaps: &[Arc<ApSnapshot>]) -> Option<(usize, UnicastPricing)> {
+/// The anycast argmin: the index of the snapshot with the cheapest
+/// declared LCP cost, exact-cost ties broken toward the lowest AP index
+/// (strict `<` while scanning in index order). All snapshots come from
+/// one epoch, so their indices name the same physical nodes. Pure — no
+/// locks, no atomics on the decision path — so the batch fan-out stays
+/// bit-deterministic.
+fn settle_one(source: NodeId, snaps: &[Arc<ApSnapshot>]) -> Option<usize> {
     let mut best: Option<(usize, &UnicastPricing)> = None;
     for (i, snap) in snaps.iter().enumerate() {
         let Some(p) = snap.pricing.get(source.index()).and_then(Option::as_ref) else {
@@ -353,5 +406,5 @@ fn settle_one(source: NodeId, snaps: &[Arc<ApSnapshot>]) -> Option<(usize, Unica
             _ => best = Some((i, p)),
         }
     }
-    best.map(|(i, p)| (i, p.clone()))
+    best.map(|(i, _)| i)
 }

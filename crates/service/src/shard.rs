@@ -18,7 +18,7 @@ use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
 use truthcast_graph::{NodeId, NodeMap, NodeWeightedGraph};
 
 use crate::epoch::{ApCell, ApSnapshot, EpochCell};
-use crate::service::Settlement;
+use crate::service::{ServeOutcome, Settlement};
 
 /// One access point's serving state: the epoch engine and the bounded
 /// admission queue.
@@ -38,11 +38,6 @@ pub struct Shard {
     capacity: usize,
     /// Sessions this shard admitted over its lifetime.
     settled: AtomicU64,
-    /// Sessions that settled here but found the queue full.
-    shed: AtomicU64,
-    /// Saturating sum of `total_payment()` over drained settlements,
-    /// in cost micro-units.
-    revenue_micros: AtomicU64,
 }
 
 impl Shard {
@@ -63,8 +58,6 @@ impl Shard {
             queue: Mutex::new(VecDeque::new()),
             capacity,
             settled: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            revenue_micros: AtomicU64::new(0),
         }
     }
 
@@ -120,63 +113,52 @@ impl Shard {
         self.engine.clear_poison();
     }
 
-    /// Admits a settlement into the bounded queue. Returns `false` (and
-    /// counts a shed) when the queue is at capacity — the caller turns
-    /// that into [`ServeOutcome::Shed`].
-    ///
-    /// [`ServeOutcome::Shed`]: crate::service::ServeOutcome::Shed
-    pub(crate) fn admit(&self, s: Settlement) -> bool {
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        if q.len() >= self.capacity {
-            drop(q);
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            truthcast_obs::add("service.sessions.shed", 1);
-            false
-        } else {
-            q.push_back(s);
-            drop(q);
-            self.settled.fetch_add(1, Ordering::Relaxed);
-            truthcast_obs::add("service.sessions.settled", 1);
-            true
+    /// Admits this shard's winners of one batch, in batch order. The
+    /// caller marks every winner `ServeOutcome::Shed { ap_index }`; each
+    /// one naming this shard becomes `Settled(settle(i))` while the
+    /// queue has room. The queue is locked once for the whole batch, so
+    /// it only grows during the walk: the first winner to find it full
+    /// stays shed, and so does every later one. Returns how many settled.
+    pub(crate) fn admit_batch(
+        &self,
+        out: &mut [ServeOutcome],
+        settle: impl Fn(usize) -> Settlement,
+    ) -> u64 {
+        let mut queue = None;
+        let mut admitted = 0;
+        for (i, o) in out.iter_mut().enumerate() {
+            if !matches!(*o, ServeOutcome::Shed { ap_index } if ap_index == self.index) {
+                continue;
+            }
+            let q = queue
+                .get_or_insert_with(|| self.queue.lock().unwrap_or_else(PoisonError::into_inner));
+            if q.len() >= self.capacity {
+                break;
+            }
+            let s = settle(i);
+            q.push_back(s.clone());
+            *o = ServeOutcome::Settled(s);
+            admitted += 1;
         }
+        if admitted > 0 {
+            self.settled.fetch_add(admitted, Ordering::Relaxed);
+        }
+        admitted
     }
 
-    /// Drains every queued settlement, crediting revenue bookkeeping.
-    /// The back-end half of the queue: the load generator calls this
-    /// between rounds, a real deployment would charge payments here.
-    pub fn drain(&self) -> Vec<Settlement> {
-        let drained: Vec<Settlement> = {
-            let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-            q.drain(..).collect()
-        };
-        if !drained.is_empty() {
-            let micros: u64 = drained.iter().fold(0u64, |acc, s| {
-                acc.saturating_add(s.pricing.total_payment().micros())
-            });
-            self.revenue_micros.fetch_add(micros, Ordering::Relaxed);
-            truthcast_obs::add("service.queue.drained", drained.len() as u64);
+    /// Moves every queued settlement onto the end of `all`. The back-end
+    /// half of the queue: the load generator drains between rounds, a
+    /// real deployment would charge payments here.
+    pub(crate) fn drain_into(&self, all: &mut Vec<Settlement>) {
+        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        if !q.is_empty() {
+            truthcast_obs::add("service.queue.drained", q.len() as u64);
+            all.extend(q.drain(..));
         }
-        drained
     }
 
     /// Lifetime admitted-session count.
     pub fn settled(&self) -> u64 {
         self.settled.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime shed-session count.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Saturating lifetime revenue over drained settlements, in cost
-    /// micro-units.
-    pub fn revenue_micros(&self) -> u64 {
-        self.revenue_micros.load(Ordering::Relaxed)
-    }
-
-    /// Current queue depth (for reporting; racy by nature).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 }

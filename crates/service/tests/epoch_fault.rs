@@ -46,7 +46,7 @@ fn assert_serves(service: &PaymentService, g: &NodeWeightedGraph, generation: u6
             ServeOutcome::Settled(s) => {
                 assert_eq!(s.generation, generation);
                 assert_eq!(Some((s.ap_index, s.pricing.lcp_cost)), best, "source {v:?}");
-                assert_eq!(Some(&s.pricing), tables[s.ap_index][v.index()].as_ref());
+                assert_eq!(Some(&*s.pricing), tables[s.ap_index][v.index()].as_ref());
             }
             ServeOutcome::Unreachable => assert_eq!(best, None, "source {v:?}"),
             ServeOutcome::Shed { .. } => panic!("unbounded queue never sheds"),
@@ -59,7 +59,7 @@ fn assert_tables(service: &PaymentService, g: &NodeWeightedGraph, generation: u6
     assert_eq!(service.generation(), generation);
     for (shard, &ap) in service.shards().iter().zip(&APS) {
         assert!(
-            shard.cell().read().pricing == all_sources_payments(g, ap),
+            *shard.cell().read().pricing == all_sources_payments(g, ap),
             "AP {ap:?}"
         );
     }

@@ -18,13 +18,13 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use truthcast_core::all_sources_payments;
 use truthcast_core::delta::EpochOutcome;
+use truthcast_core::{all_sources_payments, UnicastPricing};
 use truthcast_graph::generators::{pairs_within_range, random_placement};
 use truthcast_graph::geometry::Region;
 use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeMap, NodeWeightedGraph};
 use truthcast_rt::{Rng, SeedableRng, SmallRng};
-use truthcast_service::{PaymentService, ServeOutcome, ServiceConfig};
+use truthcast_service::{PaymentService, ServeOutcome, ServiceConfig, Settlement};
 
 const READERS: usize = 3;
 const SWAPS: usize = 6;
@@ -225,6 +225,7 @@ fn swaps_never_block_readers() {
     );
 
     readers_settle_while_an_epoch_is_in_flight();
+    held_settlements_outlive_their_epoch();
 }
 
 /// A graph large enough that pricing one epoch takes milliseconds, so
@@ -302,4 +303,86 @@ fn readers_settle_while_an_epoch_is_in_flight() {
         slowest_batch < epoch_times[EPOCHS / 2] / 4,
         "a batch took {slowest_batch:?}; epochs took {epoch_times:?}"
     );
+}
+
+/// A settlement is a view into the epoch it priced against, and holding
+/// it keeps that epoch's table alive. Batches served at generations 1–3
+/// are kept — the returned settlements and the copies left undrained in
+/// the queues — while three mobility epochs repair the shards' tables
+/// underneath. Every held settlement still reports its generation and
+/// that generation's oracle row, bit for bit.
+fn held_settlements_outlive_their_epoch() {
+    const N: usize = 60;
+    let mut rng = SmallRng::seed_from_u64(11);
+    let region = Region::new(1200.0, 1200.0);
+    let mut points = random_placement(N, region, &mut rng);
+    let costs: Vec<Cost> = (0..N)
+        .map(|_| Cost::from_units(rng.gen_range(1..50)))
+        .collect();
+    let graph = |points: &[_]| {
+        let pairs: Vec<(u32, u32)> = pairs_within_range(points, 350.0)
+            .into_iter()
+            .map(|(u, v)| (u.0, v.0))
+            .collect();
+        NodeWeightedGraph::new(adjacency_from_pairs(N, &pairs), costs.clone())
+    };
+    let aps = vec![NodeId(0), NodeId(1)];
+    let oracle = |g: &NodeWeightedGraph| -> Vec<Vec<Option<UnicastPricing>>> {
+        aps.iter().map(|&ap| all_sources_payments(g, ap)).collect()
+    };
+    let sources: Vec<NodeId> = (2..N as u32).map(NodeId).collect();
+
+    // Threshold 1.0 keeps every epoch on the repair path, which writes
+    // into the engine's table while the settlements still hold it.
+    let cfg = ServiceConfig::new(aps.clone())
+        .threads(2)
+        .damage_threshold(1.0);
+    let g0 = graph(&points);
+    let service = PaymentService::new(&cfg, &g0);
+    let mut oracles = vec![oracle(&g0)];
+    let mut held: Vec<Settlement> = Vec::new();
+    for epoch in 1..=3 {
+        let out = service.serve_batch(&sources);
+        held.extend(out.iter().filter_map(|o| o.settlement().cloned()));
+        for _ in 0..5 {
+            let v = rng.gen_range(2..N);
+            points[v].x = rng.gen_range(0.0..=region.width);
+            points[v].y = rng.gen_range(0.0..=region.height);
+        }
+        let g = graph(&points);
+        let outcomes = service.begin_epoch(&g);
+        assert!(
+            outcomes
+                .iter()
+                .all(|o| matches!(o, EpochOutcome::Repaired { .. })),
+            "epoch {epoch}: {outcomes:?}"
+        );
+        oracles.push(oracle(&g));
+    }
+    assert_eq!(service.generation(), 4);
+    let queued = service.drain();
+    assert_eq!(
+        queued.len(),
+        held.len(),
+        "unbounded queues keep every settlement"
+    );
+    held.extend(queued);
+
+    let mut changed = 0;
+    for s in &held {
+        assert!((1..=3).contains(&s.generation), "{s:?}");
+        let want = oracles[(s.generation - 1) as usize][s.ap_index][s.source.index()]
+            .as_ref()
+            .expect("a settled row is priced");
+        assert_eq!(&s.pricing, want, "held settlement {s:?} drifted");
+        let now = oracles[3][s.ap_index][s.source.index()].as_ref();
+        changed += usize::from(now != Some(want));
+    }
+    for generation in 1..=3 {
+        assert!(
+            held.iter().any(|s| s.generation == generation),
+            "no settlement held from generation {generation}"
+        );
+    }
+    assert!(changed > 0, "mobility must re-price some held rows");
 }

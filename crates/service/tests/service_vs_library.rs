@@ -13,10 +13,16 @@
 //!
 //! Shed decisions are part of the contract too: with a bounded queue
 //! the outcome vector (who settled, who shed, in batch order) must be
-//! identical at every thread count.
+//! identical at every thread count, and each shard must settle exactly
+//! its first winners in batch order up to its free capacity.
+//!
+//! The tests in this file run one at a time (see [`serial`]): one of
+//! them reconciles the process-global `truthcast-obs` counters.
 //!
 //! Case count scales with `TRUTHCAST_CASES` (the CI heavy battery sets
 //! it); a failure prints the `TRUTHCAST_SEED` that reproduces it.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use truthcast_core::all_sources_payments;
 use truthcast_core::UnicastPricing;
@@ -28,6 +34,14 @@ use truthcast_service::{PaymentService, ServeOutcome, ServiceConfig};
 
 /// Thread counts: inline, even split, a prime, oversubscription.
 const THREADS: [usize; 4] = [1, 2, 7, 16];
+
+/// Held by every test here, so that no `serve_batch` moves the global
+/// counters while `shed_rule_settles_first_winners_per_shard` has them
+/// enabled.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn random_costs(n: usize, rng: &mut SmallRng, tie_heavy: bool) -> Vec<Cost> {
     (0..n)
@@ -133,6 +147,7 @@ fn check_batch(
 /// runs, bit for bit.
 #[test]
 fn anycast_matches_argmin_of_library_runs() {
+    let _serial = serial();
     forall!(cases(16), (0u64..1 << 48, bools(), bools()), |(
         seed,
         udg,
@@ -153,6 +168,7 @@ fn anycast_matches_argmin_of_library_runs() {
 /// generation advancing by one per epoch.
 #[test]
 fn anycast_stays_exact_across_epochs() {
+    let _serial = serial();
     forall!(cases(8), (0u64..1 << 48, bools()), |(seed, ties)| {
         let (g0, aps) = instance(seed, true, ties);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xE70C);
@@ -179,6 +195,7 @@ fn anycast_stays_exact_across_epochs() {
 /// from every source, checked at every thread count.
 #[test]
 fn equal_cost_ties_settle_at_lowest_ap_index() {
+    let _serial = serial();
     // A mirror: source 2 reaches AP 0 via relay 1 (cost 5) and AP 4 via
     // relay 3 (cost 5). Source 5 hangs off source 2.
     let g = NodeWeightedGraph::from_pairs_units(
@@ -212,6 +229,7 @@ fn equal_cost_ties_settle_at_lowest_ap_index() {
 /// in batch order after pricing, so shed decisions are deterministic.
 #[test]
 fn shed_pattern_is_thread_count_invariant() {
+    let _serial = serial();
     forall!(cases(8), (0u64..1 << 48,), |(seed,)| {
         let (g, aps) = instance(seed, false, false);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
@@ -254,4 +272,77 @@ fn shed_pattern_is_thread_count_invariant() {
         }
         Ok(())
     });
+}
+
+/// The exact shed rule under batch admission, across two batches with
+/// no drain between them: per shard, the first `CAP` winners in batch
+/// order settle and every later one sheds, the second batch starting
+/// from the occupancy the first left. Each shard's `settled()` and the
+/// `service.sessions.*` counters reconcile with the outcomes, and
+/// offered = settled + shed + unreachable.
+#[test]
+fn shed_rule_settles_first_winners_per_shard() {
+    let _serial = serial();
+    const CAP: usize = 3;
+    for seed in 0..4u64 {
+        let (g, aps) = instance(seed, seed % 2 == 0, false);
+        let expected = oracle(&g, &aps);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+        let mut batch = || -> Vec<NodeId> {
+            (0..g.num_nodes() * 2)
+                .map(|_| NodeId(rng.gen_range(0..g.num_nodes() as u32)))
+                .collect()
+        };
+        let batches = [batch(), batch()];
+        for threads in [1, 7] {
+            truthcast_obs::enable();
+            truthcast_obs::reset();
+            let cfg = ServiceConfig::new(aps.clone())
+                .threads(threads)
+                .queue_capacity(CAP);
+            let service = PaymentService::new(&cfg, &g);
+            let mut occupancy = vec![0usize; aps.len()];
+            let (mut settled, mut shed, mut unreachable) = (0u64, 0u64, 0u64);
+            for sources in &batches {
+                let out = service.serve_batch(sources);
+                for (&v, o) in sources.iter().zip(&out) {
+                    match (&expected[v.index()], o) {
+                        (None, ServeOutcome::Unreachable) => unreachable += 1,
+                        (Some((j, p)), ServeOutcome::Settled(s)) if occupancy[*j] < CAP => {
+                            assert_eq!((s.source, s.ap_index), (v, *j));
+                            assert_eq!(&s.pricing, p, "source {v:?}");
+                            occupancy[*j] += 1;
+                            settled += 1;
+                        }
+                        (Some((j, _)), ServeOutcome::Shed { ap_index })
+                            if occupancy[*j] == CAP && ap_index == j =>
+                        {
+                            shed += 1;
+                        }
+                        (want, got) => panic!(
+                            "seed {seed} threads {threads} source {v:?}: oracle {want:?}, \
+                             occupancy {occupancy:?}, service {got:?}"
+                        ),
+                    }
+                }
+            }
+            let snap = truthcast_obs::snapshot();
+            truthcast_obs::disable();
+
+            assert!(
+                shed > 0,
+                "seed {seed}: 2x oversubscription vs capacity {CAP} must shed"
+            );
+            for (shard, &occ) in service.shards().iter().zip(&occupancy) {
+                assert_eq!(shard.settled(), occ as u64);
+            }
+            let offered = batches.iter().map(Vec::len).sum::<usize>() as u64;
+            assert_eq!(snap.counter("service.sessions.offered"), offered);
+            assert_eq!(snap.counter("service.sessions.settled"), settled);
+            assert_eq!(snap.counter("service.sessions.shed"), shed);
+            assert_eq!(snap.counter("service.sessions.unreachable"), unreachable);
+            assert_eq!(offered, settled + shed + unreachable);
+            assert_eq!(service.drain().len() as u64, settled);
+        }
+    }
 }

@@ -12,10 +12,13 @@ echo "==> cargo test -q --offline"
 cargo test -q --offline
 
 # The plain `cargo test` above covers only the facade package; the
-# service batteries and the warm-resize churn battery run here too.
-echo "==> service batteries + warm-resize churn battery"
+# service batteries, the warm-resize churn battery and the incremental
+# engine batteries (cold-oracle parity, resize outcomes, audits) run
+# here too.
+echo "==> service batteries + incremental engine batteries"
 cargo test -q --offline -p truthcast-service
-cargo test -q --offline -p truthcast-core --test resize_vs_cold
+cargo test -q --offline -p truthcast-core --test resize_vs_cold --test incremental_vs_cold \
+    --test cold_resize --test incremental_audits
 
 # Bench smoke test: compile every bench target and run one short sample
 # of each into a scratch dir — no thresholds, just "the suite still runs
