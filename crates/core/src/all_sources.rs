@@ -51,7 +51,7 @@
 use truthcast_graph::dijkstra::{dijkstra_in, DijkstraOptions, Direction};
 use truthcast_graph::heap::IndexedHeap;
 use truthcast_graph::node_dijkstra::NodeDijkstraOptions;
-use truthcast_graph::workspace::{DijkstraWorkspace, QueueKind};
+use truthcast_graph::workspace::DijkstraWorkspace;
 use truthcast_graph::{
     Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph, Spt, SubtreeIntervals,
 };
@@ -394,7 +394,6 @@ pub(crate) fn node_all_sources_from_table(
     dist: &[Cost],
     parent: &[Option<NodeId>],
     threads: usize,
-    kind: QueueKind,
 ) -> (Vec<Option<UnicastPricing>>, usize) {
     let n = g.num_nodes();
     let shared = {
@@ -451,7 +450,7 @@ pub(crate) fn node_all_sources_from_table(
         let priced = par_map_with(
             fb_sources.len(),
             threads,
-            || WorkerScratch::new(n, kind),
+            || WorkerScratch::new(n),
             |sc, i| {
                 let t0 = WorkerScratch::latency_clock();
                 let priced = price_node_session(
@@ -481,7 +480,6 @@ pub(crate) fn link_all_sources_from_table(
     dist: &[Cost],
     parent: &[Option<NodeId>],
     threads: usize,
-    kind: QueueKind,
 ) -> (Vec<Option<UnicastPricing>>, usize) {
     let n = g.num_nodes();
     let shared = {
@@ -540,7 +538,7 @@ pub(crate) fn link_all_sources_from_table(
         let priced = par_map_with(
             fb_sources.len(),
             threads,
-            || WorkerScratch::new(n, kind),
+            || WorkerScratch::new(n),
             |sc, i| {
                 let t0 = WorkerScratch::latency_clock();
                 let priced = price_link_session(
@@ -565,10 +563,8 @@ pub(crate) fn link_all_sources_from_table(
 /// Reusable all-to-AP pricing engine.
 ///
 /// Unlike the batch engines this one *owns* no borrow of the topology, so
-/// a long-lived deployment (e.g. the mobility experiment) can keep one
-/// warm engine across epochs: the sweep workspace and export buffers are
-/// reused, and [`AllSourcesEngine::price_all_sources_reusing`] short-cuts
-/// entirely when the graph is unchanged since the previous call.
+/// a long-lived deployment can keep one warm engine across calls: the
+/// sweep workspace and export buffers are reused.
 ///
 /// ```
 /// use truthcast_core::all_sources::AllSourcesEngine;
@@ -588,12 +584,10 @@ pub(crate) fn link_all_sources_from_table(
 /// ```
 pub struct AllSourcesEngine {
     threads: usize,
-    kind: QueueKind,
     ws: DijkstraWorkspace,
     dist: Vec<Cost>,
     parent: Vec<Option<NodeId>>,
     last_fallbacks: usize,
-    cache: Option<(NodeWeightedGraph, NodeId, Vec<Option<UnicastPricing>>)>,
 }
 
 impl AllSourcesEngine {
@@ -605,31 +599,18 @@ impl AllSourcesEngine {
     /// An engine using exactly `threads` workers (clamped to at least 1).
     /// The thread count never affects the returned payments.
     pub fn with_threads(threads: usize) -> AllSourcesEngine {
-        AllSourcesEngine::with_queue(threads, QueueKind::from_env())
-    }
-
-    /// An engine pinned to a specific sweep queue engine — the
-    /// differential-testing hook.
-    pub fn with_queue(threads: usize, kind: QueueKind) -> AllSourcesEngine {
         AllSourcesEngine {
             threads: threads.max(1),
-            kind,
-            ws: DijkstraWorkspace::with_queue(0, kind),
+            ws: DijkstraWorkspace::new(),
             dist: Vec::new(),
             parent: Vec::new(),
             last_fallbacks: 0,
-            cache: None,
         }
     }
 
     /// The worker count the crossing-edge phase shards across.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The sweep queue engine backing the shared sweep.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// How many sources the most recent call re-priced through the
@@ -665,7 +646,7 @@ impl AllSourcesEngine {
             self.ws.export_into(&mut self.dist, &mut self.parent);
         }
         let (out, fallbacks) =
-            node_all_sources_from_table(g, ap, &self.dist, &self.parent, self.threads, self.kind);
+            node_all_sources_from_table(g, ap, &self.dist, &self.parent, self.threads);
         self.last_fallbacks = fallbacks;
         out
     }
@@ -696,29 +677,9 @@ impl AllSourcesEngine {
             self.ws.export_into(&mut self.dist, &mut self.parent);
         }
         let (out, fallbacks) =
-            link_all_sources_from_table(g, ap, &self.dist, &self.parent, self.threads, self.kind);
+            link_all_sources_from_table(g, ap, &self.dist, &self.parent, self.threads);
         self.last_fallbacks = fallbacks;
         out
-    }
-
-    /// Like [`AllSourcesEngine::price_all_sources`], but returns the
-    /// cached table (and `true`) when `(g, ap)` is unchanged since the
-    /// previous `_reusing` call — the mobility experiment's epoch
-    /// shortcut. Counts `core.all_sources.graph_cache_hits`.
-    pub fn price_all_sources_reusing(
-        &mut self,
-        g: &NodeWeightedGraph,
-        ap: NodeId,
-    ) -> (Vec<Option<UnicastPricing>>, bool) {
-        if let Some((cg, cap, cached)) = &self.cache {
-            if *cap == ap && cg == g {
-                truthcast_obs::add("core.all_sources.graph_cache_hits", 1);
-                return (cached.clone(), true);
-            }
-        }
-        let out = self.price_all_sources(g, ap);
-        self.cache = Some((g.clone(), ap, out.clone()));
-        (out, false)
     }
 }
 
@@ -838,22 +799,5 @@ mod tests {
             engine.price_all_sources_symmetric(&g, NodeId(1)),
             vec![None, None]
         );
-    }
-
-    #[test]
-    fn reusing_hits_cache_on_identical_graph() {
-        let g = diamond();
-        let mut engine = AllSourcesEngine::new();
-        let (first, hit0) = engine.price_all_sources_reusing(&g, NodeId(3));
-        assert!(!hit0);
-        let (second, hit1) = engine.price_all_sources_reusing(&g, NodeId(3));
-        assert!(hit1);
-        assert_eq!(first, second);
-        // A cost change invalidates the cache.
-        let g2 =
-            NodeWeightedGraph::from_pairs_units(&[(0, 1), (1, 3), (0, 2), (2, 3)], &[0, 9, 7, 0]);
-        let (third, hit2) = engine.price_all_sources_reusing(&g2, NodeId(3));
-        assert!(!hit2);
-        assert_ne!(first, third);
     }
 }

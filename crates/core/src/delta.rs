@@ -107,7 +107,7 @@ use std::sync::{Arc, OnceLock};
 
 use truthcast_graph::heap::IndexedHeap;
 use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
-use truthcast_graph::workspace::{DijkstraWorkspace, QueueKind};
+use truthcast_graph::workspace::DijkstraWorkspace;
 use truthcast_graph::{Cost, NodeId, NodeMap, NodeWeightedGraph, SubtreeIntervals};
 use truthcast_mechanism::vcg::vcg_payment_selected;
 use truthcast_rt::{default_threads, par_map_with};
@@ -502,7 +502,6 @@ pub enum EpochOutcome {
 /// ```
 pub struct IncrementalEngine {
     threads: usize,
-    kind: QueueKind,
     damage_threshold: f64,
     ws: DijkstraWorkspace,
     heap: IndexedHeap<Cost>,
@@ -540,20 +539,15 @@ impl IncrementalEngine {
     }
 
     /// An engine using exactly `threads` workers (clamped to at least 1).
-    /// Thread count never affects the returned payments.
-    pub fn with_threads(threads: usize) -> IncrementalEngine {
-        IncrementalEngine::with_queue(threads, QueueKind::from_env())
-    }
-
-    /// An engine pinned to a specific sweep queue engine — the
-    /// differential-testing hook. (The repair queue itself is always the
-    /// indexed binary heap: its seeds arrive unsorted.)
+    /// Thread count never affects the returned payments. (Cold sweeps run
+    /// on the radix queue; the repair queue is the indexed binary heap,
+    /// because its seeds arrive unsorted.)
     ///
     /// Registers every `core.delta.*` counter with [`truthcast_obs`] so
     /// `summary_table` prints explicit zeros for events that never fired
     /// on a quiet run — a `fallbacks 0` line is evidence the repair path
     /// held; an absent one is evidence of nothing.
-    pub fn with_queue(threads: usize, kind: QueueKind) -> IncrementalEngine {
+    pub fn with_threads(threads: usize) -> IncrementalEngine {
         for name in [
             "core.delta.deltas",
             "core.delta.reuses",
@@ -572,9 +566,8 @@ impl IncrementalEngine {
         }
         IncrementalEngine {
             threads: threads.max(1),
-            kind,
             damage_threshold: damage_threshold_from_env(),
-            ws: DijkstraWorkspace::with_queue(0, kind),
+            ws: DijkstraWorkspace::new(),
             heap: IndexedHeap::new(0),
             heap_capacity: 0,
             dist: Vec::new(),
@@ -596,11 +589,6 @@ impl IncrementalEngine {
     /// The worker count the detour and fallback phases shard across.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The sweep queue engine backing cold sweeps and fallback sessions.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// The current damage threshold (fraction of `n`).
@@ -1428,11 +1416,10 @@ impl IncrementalEngine {
         {
             let _s = truthcast_obs::span("delta.fallback");
             let dist = &self.dist;
-            let kind = self.kind;
             let priced = par_map_with(
                 fb.len(),
                 self.threads,
-                || WorkerScratch::new(n, kind),
+                || WorkerScratch::new(n),
                 |sc, i| {
                     let t0 = WorkerScratch::latency_clock();
                     let priced = price_node_session(

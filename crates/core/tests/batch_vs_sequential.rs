@@ -10,10 +10,12 @@
 //! sessions, and mixed destinations sharing the cache.
 //!
 //! Case count scales with `TRUTHCAST_CASES` (the CI heavy battery sets
-//! it); a failure prints the `TRUTHCAST_SEED` that reproduces it.
+//! it); a failure prints the `TRUTHCAST_SEED` that reproduces it. A
+//! fixed-seed test adds larger connected tie-heavy instances on top.
 
 use truthcast_core::batch::{LinkPaymentEngine, PaymentEngine, SessionQuery};
 use truthcast_core::{fast_payments, fast_symmetric_payments, price_all_sources};
+use truthcast_graph::connectivity::is_connected;
 use truthcast_graph::generators::{erdos_renyi, random_udg};
 use truthcast_graph::geometry::Region;
 use truthcast_graph::{Adjacency, Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph};
@@ -195,6 +197,82 @@ fn link_batch_matches_fast_symmetric_payments() {
         }
         Ok(())
     });
+}
+
+/// A connected seeded topology of `n` nodes: unit-disk on even seeds,
+/// G(n, p) on odd.
+fn connected_topology(seed: u64, n: usize) -> Adjacency {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for _ in 0..64 {
+        let adj = if seed.is_multiple_of(2) {
+            let side = (n as f64 * 300.0 * 300.0 * std::f64::consts::PI / 12.0).sqrt();
+            random_udg(n, Region::new(side, side), 300.0, &mut rng).1
+        } else {
+            erdos_renyi(n, 0.12, &mut rng)
+        };
+        if is_connected(&adj) {
+            return adj;
+        }
+    }
+    panic!("seed {seed:#x}: no connected {n}-node topology in 64 attempts");
+}
+
+/// Fixed-seed connected instances, larger than the property cases, with
+/// tie-heavy costs (node costs in `0..4`, so zero-cost relays occur; link
+/// costs in `1..5`): every all-to-AP batch equals the one-shot algorithm
+/// at every thread count.
+#[test]
+fn connected_tie_heavy_seeds_match_one_shot() {
+    for (seed, n) in [
+        (0xB0u64, 40),
+        (0xB1, 40),
+        (0xB2, 40),
+        (0xB3, 40),
+        (0xB6, 32),
+        (0xB7, 32),
+    ] {
+        let adj = connected_topology(seed, n);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xC057);
+        let costs: Vec<Cost> = (0..n)
+            .map(|_| Cost::from_units(rng.gen_range(0u64..4)))
+            .collect();
+        let g = NodeWeightedGraph::new(adj, costs);
+        let qs = sessions_to_ap(n, NodeId(0));
+        let expected: Vec<_> = qs
+            .iter()
+            .map(|q| fast_payments(&g, q.source, q.target))
+            .collect();
+        for threads in THREADS {
+            let got = PaymentEngine::with_threads(&g, threads).price_batch(&qs);
+            assert_eq!(got, expected, "seed {seed:#x}, {threads} threads");
+        }
+    }
+    for (seed, n) in [(0xB4u64, 36), (0xB5, 36), (0xB6, 32), (0xB7, 32)] {
+        let adj = connected_topology(seed, n);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x11AB);
+        let arcs: Vec<_> = adj
+            .edges()
+            .flat_map(|(u, v)| {
+                let w = Cost::from_units(rng.gen_range(1u64..5));
+                [(u, v, w), (v, u, w)]
+            })
+            .collect();
+        let g = LinkWeightedDigraph::from_arcs(n, arcs);
+        let qs = sessions_to_ap(n, NodeId(0));
+        let expected: Vec<_> = qs
+            .iter()
+            .map(|q| fast_symmetric_payments(&g, q.source, q.target))
+            .collect();
+        for threads in THREADS {
+            let mut engine = LinkPaymentEngine::with_threads(&g, threads);
+            assert!(engine.is_symmetric());
+            assert_eq!(
+                engine.price_batch(&qs),
+                expected,
+                "seed {seed:#x}, {threads} threads"
+            );
+        }
+    }
 }
 
 /// An asymmetric digraph prices every session to `None`, exactly like

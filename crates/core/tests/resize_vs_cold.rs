@@ -1,8 +1,7 @@
 //! Differential churn battery: [`IncrementalEngine::price_epoch_mapped`]
 //! must be **bit-identical** to a cold [`AllSourcesEngine`] sweep at
 //! every epoch of a join/leave trace — payment tables *and* distance
-//! tables — at every thread count, under both queue kinds, and at every
-//! damage threshold.
+//! tables — at every thread count and at every damage threshold.
 //!
 //! Traces track node *identity* explicitly: every node carries a tag,
 //! joins push fresh tags, leaves `swap_remove` (the dense renumbering
@@ -19,7 +18,7 @@ use truthcast_core::all_sources::AllSourcesEngine;
 use truthcast_core::delta::{EpochOutcome, IncrementalEngine};
 use truthcast_graph::generators::pairs_within_range;
 use truthcast_graph::geometry::{Point, Region};
-use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeMap, NodeWeightedGraph, QueueKind};
+use truthcast_graph::{adjacency_from_pairs, Cost, NodeId, NodeMap, NodeWeightedGraph};
 use truthcast_rt::{bools, cases, forall, prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
 
 /// Thread counts: the inline path, an even split, a prime that never
@@ -251,12 +250,12 @@ fn er_trace(seed: u64, ties: bool, mode: Mode) -> Vec<Step> {
 
 /// Drives one warm engine down the churn trace via the mapped entry
 /// point and compares every epoch's payment *and* distance tables
-/// against a fresh same-kind cold engine.
+/// against a fresh cold engine.
 fn check_trace(steps: &[Step], mut engine: IncrementalEngine) -> Result<Vec<EpochOutcome>, String> {
     let mut outcomes = Vec::with_capacity(steps.len());
     for (epoch, s) in steps.iter().enumerate() {
         let got = engine.price_epoch_mapped(&s.graph, s.ap, &s.map);
-        let mut cold = AllSourcesEngine::with_queue(engine.threads(), engine.queue_kind());
+        let mut cold = AllSourcesEngine::with_threads(engine.threads());
         let expected = cold.price_all_sources(&s.graph, s.ap);
         let outcome = engine.last_outcome();
         prop_assert_eq!(
@@ -330,17 +329,15 @@ fn warm_resize_matches_cold_across_threads() {
     });
 }
 
-/// Both queue kinds: within one [`QueueKind`] the warm engine and the
-/// cold engine share tie-breaking, so cross-resize repair must land on
-/// identical tables under Radix and Binary alike.
+/// Mixed join/leave churn over Erdős–Rényi traces: the warm engine and
+/// the cold engine share tie-breaking, so cross-resize repair must land
+/// on identical tables.
 #[test]
-fn warm_resize_matches_cold_under_both_queue_kinds() {
+fn warm_resize_matches_cold_on_mixed_edge_flip_traces() {
     forall!(cases(12), (0u64..1 << 48, bools()), |(seed, ties)| {
         let steps = er_trace(seed, ties, Mode::Mixed);
-        for kind in [QueueKind::Radix, QueueKind::Binary] {
-            let engine = IncrementalEngine::with_queue(2, kind).with_damage_threshold(1.0);
-            check_trace(&steps, engine)?;
-        }
+        let engine = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
+        check_trace(&steps, engine)?;
         Ok(())
     });
 }

@@ -133,27 +133,6 @@ impl<P: Ord + Copy> IndexedHeap<P> {
         Some(p)
     }
 
-    /// Grows the accepted key range to `0..capacity` (physical capacity
-    /// never shrinks) — lets a reused heap follow a workspace onto larger
-    /// graphs without reallocating from scratch.
-    ///
-    /// When an *empty* heap is recycled onto a **smaller** key range, any
-    /// stale position entry beyond the new range is hard-reset to absent.
-    /// Without this, a position left behind above the logical range (e.g.
-    /// by a `clone` of a populated heap followed by manual slot surgery,
-    /// or a future `clear` variant that skips out-of-range slots) would
-    /// alias a live slot index once the buffers regrow — the latent reuse
-    /// hazard exposed by workspace recycling across graph sizes.
-    pub fn ensure_capacity(&mut self, capacity: usize) {
-        if self.pos.len() < capacity {
-            self.pos.resize(capacity, ABSENT);
-        } else if self.slots.is_empty() {
-            for p in &mut self.pos[capacity..] {
-                *p = ABSENT;
-            }
-        }
-    }
-
     /// Drops every entry (keeps capacity).
     pub fn clear(&mut self) {
         for &(_, k) in &self.slots {
@@ -297,37 +276,6 @@ mod tests {
         assert!(!h.contains(1));
         h.push(1, 5);
         assert_eq!(h.pop_min(), Some((1, 5)));
-    }
-
-    /// Regression: recycling an empty heap onto a smaller key range must
-    /// reset the stale `pos` tail, so a later regrow can never observe a
-    /// leftover slot index for a key that was only ever live at the larger
-    /// size.
-    #[test]
-    fn ensure_capacity_resets_stale_tail_on_shrink() {
-        let mut h: IndexedHeap<u64> = IndexedHeap::new(4);
-        h.ensure_capacity(16);
-        // Populate high keys, then empty the heap via pops (pops only fix
-        // up positions of keys they touch — the invariant we are guarding
-        // is that *whatever* is left in the tail gets wiped on shrink).
-        h.push(12, 10);
-        h.push(15, 20);
-        h.push(3, 5);
-        while h.pop_min().is_some() {}
-        // Simulate a stale tail entry surviving (e.g. from a cloned heap
-        // whose source still holds key 15): recycling must clean it.
-        h.pos[15] = 0;
-        h.ensure_capacity(8);
-        assert!(!h.contains(3));
-        // Regrow: the formerly-stale high keys must read as absent.
-        h.ensure_capacity(16);
-        assert!(!h.contains(12));
-        assert!(!h.contains(15));
-        h.push(15, 7);
-        h.push(12, 9);
-        assert_eq!(h.pop_min(), Some((15, 7)));
-        assert_eq!(h.pop_min(), Some((12, 9)));
-        assert_eq!(h.pop_min(), None);
     }
 
     /// Model test: random operation sequences must agree with a sorted-map

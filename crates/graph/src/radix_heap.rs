@@ -19,9 +19,10 @@
 //! `O(log n)` compare-and-swap chains (pointer-chasing through a sifting
 //! array) for straight-line bit arithmetic plus an occasional linear
 //! redistribution — much friendlier to the cache on the hot sweep loops
-//! behind every LCP and payment computation. The binary heap remains the
-//! engine for *non*-monotone workloads (Algorithm 1's sliding
-//! crossing-edge window needs delete-by-key at arbitrary priorities).
+//! behind every LCP and payment computation. It is the only queue behind
+//! the Dijkstra sweeps; the binary heap remains the queue for
+//! *non*-monotone workloads (Algorithm 1's sliding crossing-edge window
+//! needs delete-by-key at arbitrary priorities).
 //!
 //! Like [`crate::workspace::DijkstraWorkspace`], the position table is
 //! epoch-stamped: [`RadixHeap::clear`] bumps an epoch instead of touching

@@ -1,13 +1,19 @@
-//! Differential battery: the radix-heap Dijkstra engine must agree with
-//! the binary-heap engine on every sweep family.
+//! Differential battery: the radix-heap Dijkstra sweeps must agree with a
+//! textbook binary-heap Dijkstra on every sweep family.
 //!
-//! The two engines break ties among equal-priority queue entries
-//! differently, so *paths and parent pointers* may legitimately differ on
-//! tie-heavy instances. What is tie-independent — and therefore asserted
-//! bit-exactly across engines — is:
+//! The monotone radix heap is the only queue behind the library's sweeps.
+//! The reference here is a test-local textbook Dijkstra over the public
+//! binary [`IndexedHeap`], written independently of the workspace code;
+//! on unmasked instances the reference is itself checked against the
+//! Bellman–Ford oracles (`bellman_ford_node` / `bellman_ford_arcs`).
+//!
+//! The two queues break ties among equal-priority entries differently, so
+//! *paths and parent pointers* may legitimately differ on tie-heavy
+//! instances. What is tie-independent — and therefore asserted
+//! bit-exactly — is:
 //!
 //! * the full distance table (hence the reached set),
-//! * local consistency of each engine's own parent tree
+//! * local consistency of each sweep's own parent tree
 //!   (`dist[v] == dist[parent(v)] + step cost`, root at the origin),
 //! * early-exit sweeps: the settled *prefix* depends on tie order, so
 //!   only the target's distance is compared.
@@ -16,14 +22,15 @@
 //! node removal, undirected edge removal, and a tie-heavy small-integer
 //! cost regime that maximizes equal-priority pressure on both queues.
 
+use truthcast_graph::bellman_ford::{bellman_ford_arcs, bellman_ford_node};
 use truthcast_graph::connectivity::is_connected;
 use truthcast_graph::dijkstra::{dijkstra_in, DijkstraOptions, Direction};
 use truthcast_graph::generators::{erdos_renyi, random_udg};
 use truthcast_graph::geometry::Region;
+use truthcast_graph::heap::IndexedHeap;
 use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
 use truthcast_graph::{
     Adjacency, Cost, DijkstraWorkspace, LinkWeightedDigraph, NodeId, NodeMask, NodeWeightedGraph,
-    QueueKind,
 };
 use truthcast_rt::{cases, forall, prop_assert, prop_assert_eq, subsequence, Strategy};
 use truthcast_rt::{Rng, SeedableRng, SmallRng};
@@ -38,48 +45,130 @@ fn small_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     })
 }
 
-/// A pair of workspaces pinned to the two engines.
-fn engine_pair(n: usize) -> (DijkstraWorkspace, DijkstraWorkspace) {
-    (
-        DijkstraWorkspace::with_queue(n, QueueKind::Radix),
-        DijkstraWorkspace::with_queue(n, QueueKind::Binary),
-    )
+/// The distance and parent tables of one sweep.
+struct Tables {
+    dist: Vec<Cost>,
+    parent: Vec<Option<NodeId>>,
 }
 
-/// Asserts the two workspaces agree on every distance (and therefore on
-/// the reached set), and that each one's parent tree is locally
-/// consistent under `step(parent, v)` — the tie-independent contract.
+impl Tables {
+    fn dist(&self, v: NodeId) -> Cost {
+        self.dist[v.index()]
+    }
+}
+
+/// Textbook Dijkstra over the binary [`IndexedHeap`]: `steps(u)` lists the
+/// `(v, step cost)` moves out of `u`, and the sweep stops once `target`
+/// is settled.
+fn reference_sweep(
+    n: usize,
+    origin: NodeId,
+    target: Option<NodeId>,
+    steps: impl Fn(NodeId) -> Vec<(NodeId, Cost)>,
+) -> Tables {
+    let mut dist = vec![Cost::INF; n];
+    let mut parent = vec![None; n];
+    let mut heap = IndexedHeap::new(n);
+    dist[origin.index()] = Cost::ZERO;
+    heap.push(origin.0, Cost::ZERO);
+    while let Some((key, du)) = heap.pop_min() {
+        let u = NodeId(key);
+        if Some(u) == target {
+            break;
+        }
+        for (v, w) in steps(u) {
+            let cand = du + w;
+            if cand < dist[v.index()] {
+                dist[v.index()] = cand;
+                parent[v.index()] = Some(u);
+                heap.push_or_update(v.0, cand);
+            }
+        }
+    }
+    Tables { dist, parent }
+}
+
+/// Reference node-weighted sweep (inclusive tail distances, the
+/// `node_dijkstra` convention), skipping nodes blocked by `avoid`.
+fn reference_node(
+    g: &NodeWeightedGraph,
+    origin: NodeId,
+    avoid: Option<&NodeMask>,
+    target: Option<NodeId>,
+) -> Tables {
+    reference_sweep(g.num_nodes(), origin, target, |u| {
+        g.neighbors(u)
+            .iter()
+            .filter(|&&v| !avoid.is_some_and(|m| m.is_blocked(v)))
+            .map(|&v| (v, g.cost(v)))
+            .collect()
+    })
+}
+
+/// Reference edge-weighted sweep in `direction`, never crossing the
+/// undirected link `avoid_edge`.
+fn reference_link(
+    g: &LinkWeightedDigraph,
+    origin: NodeId,
+    direction: Direction,
+    avoid_edge: Option<(NodeId, NodeId)>,
+) -> Tables {
+    reference_sweep(g.num_nodes(), origin, None, |u| {
+        let row = match direction {
+            Direction::Forward => g.out_arcs(u),
+            Direction::Backward => g.in_arcs(u),
+        };
+        row.iter()
+            .filter(|a| {
+                !avoid_edge.is_some_and(|(x, y)| (u, a.head) == (x, y) || (u, a.head) == (y, x))
+            })
+            .map(|a| (a.head, a.weight))
+            .collect()
+    })
+}
+
+/// Asserts the radix sweep agrees with the reference on every distance
+/// (and therefore on the reached set), and that each one's parent tree is
+/// locally consistent under `step(parent, v)` — the tie-independent
+/// contract.
 fn assert_sweeps_agree(
     radix: &DijkstraWorkspace,
-    binary: &DijkstraWorkspace,
+    reference: &Tables,
     n: usize,
     origin: NodeId,
     step: impl Fn(NodeId, NodeId) -> Cost,
 ) {
-    for v in (0..n).map(NodeId::new) {
-        assert_eq!(radix.dist(v), binary.dist(v), "dist({v}) diverges");
-    }
-    for ws in [radix, binary] {
+    let radix = Tables {
+        dist: (0..n).map(|v| radix.dist(NodeId::new(v))).collect(),
+        parent: (0..n).map(|v| radix.parent(NodeId::new(v))).collect(),
+    };
+    assert_eq!(radix.dist, reference.dist, "distance tables diverge");
+    for sweep in [&radix, reference] {
         for v in (0..n).map(NodeId::new) {
-            match ws.parent(v) {
+            match sweep.parent[v.index()] {
                 Some(p) => {
-                    assert!(ws.dist(p).is_finite(), "parent of {v} unreached");
+                    assert!(sweep.dist(p).is_finite(), "parent of {v} unreached");
                     assert_eq!(
-                        ws.dist(v),
-                        ws.dist(p) + step(p, v),
+                        sweep.dist(v),
+                        sweep.dist(p) + step(p, v),
                         "parent tree inconsistent at {v}"
                     );
                 }
                 None => {
                     // Only the origin and unreached nodes lack a parent.
                     assert!(
-                        v == origin || ws.dist(v).is_inf(),
+                        v == origin || sweep.dist(v).is_inf(),
                         "reached non-origin {v} has no parent"
                     );
                 }
             }
         }
     }
+}
+
+/// The reversed digraph: backward sweeps on `g` are forward sweeps on it.
+fn reversed(g: &LinkWeightedDigraph) -> LinkWeightedDigraph {
+    LinkWeightedDigraph::from_arcs(g.num_nodes(), g.arcs().map(|(u, v, w)| (v, u, w)))
 }
 
 /// Seeded LCG for per-case cost streams inside `forall!` closures.
@@ -105,11 +194,12 @@ fn node_sweeps_agree_with_and_without_masks() {
         let modulus = if seed % 2 == 1 { 4 } else { 50 };
         let costs: Vec<u64> = (0..n).map(|_| next() % modulus).collect();
         let g = NodeWeightedGraph::from_pairs_units(&edges, &costs);
+        let mut radix = DijkstraWorkspace::with_capacity(n);
         for origin in (0..n).map(NodeId::new) {
-            let (mut radix, mut binary) = engine_pair(n);
             node_dijkstra_in(&mut radix, &g, origin, NodeDijkstraOptions::default());
-            node_dijkstra_in(&mut binary, &g, origin, NodeDijkstraOptions::default());
-            assert_sweeps_agree(&radix, &binary, n, origin, |_, v| g.cost(v));
+            let reference = reference_node(&g, origin, None, None);
+            assert_sweeps_agree(&radix, &reference, n, origin, |_, v| g.cost(v));
+            prop_assert_eq!(&reference.dist, &bellman_ford_node(&g, origin));
 
             // Masked relay removal: block one non-origin node.
             let blocked = NodeId::new((origin.index() + 1) % n);
@@ -119,9 +209,9 @@ fn node_sweeps_agree_with_and_without_masks() {
                 target: None,
             };
             node_dijkstra_in(&mut radix, &g, origin, opts);
-            node_dijkstra_in(&mut binary, &g, origin, opts);
+            let reference = reference_node(&g, origin, Some(&mask), None);
             for v in (0..n).map(NodeId::new) {
-                prop_assert_eq!(radix.dist(v), binary.dist(v));
+                prop_assert_eq!(radix.dist(v), reference.dist(v));
             }
             prop_assert!(radix.dist(blocked).is_inf());
         }
@@ -130,7 +220,7 @@ fn node_sweeps_agree_with_and_without_masks() {
 }
 
 /// Edge-weighted sweeps: both directions, full tables, plus undirected
-/// edge removal — distances must match arc-exactly across engines.
+/// edge removal — distances must match the reference arc-exactly.
 #[test]
 fn link_sweeps_agree_in_both_directions() {
     forall!(cases(96), (small_graph(), 0u64..1_000_000), |(
@@ -149,9 +239,9 @@ fn link_sweeps_agree_in_both_directions() {
             })
             .collect();
         let g = LinkWeightedDigraph::from_arcs(n, arcs);
+        let mut radix = DijkstraWorkspace::with_capacity(n);
         for direction in [Direction::Forward, Direction::Backward] {
             let origin = NodeId(0);
-            let (mut radix, mut binary) = engine_pair(n);
             dijkstra_in(
                 &mut radix,
                 &g,
@@ -159,38 +249,37 @@ fn link_sweeps_agree_in_both_directions() {
                 direction,
                 DijkstraOptions::default(),
             );
-            dijkstra_in(
-                &mut binary,
-                &g,
-                origin,
-                direction,
-                DijkstraOptions::default(),
-            );
+            let reference = reference_link(&g, origin, direction, None);
             let step = |p: NodeId, v: NodeId| match direction {
                 Direction::Forward => g.arc_cost(p, v),
                 Direction::Backward => g.arc_cost(v, p),
             };
-            assert_sweeps_agree(&radix, &binary, n, origin, step);
+            assert_sweeps_agree(&radix, &reference, n, origin, step);
+            let oracle = match direction {
+                Direction::Forward => bellman_ford_arcs(&g, origin),
+                Direction::Backward => bellman_ford_arcs(&reversed(&g), origin),
+            };
+            prop_assert_eq!(&reference.dist, &oracle);
         }
         // Undirected edge removal along each original pair.
         for &(u, v) in edges.iter().take(4) {
+            let removed = (NodeId(u), NodeId(v));
             let opts = DijkstraOptions {
                 avoid: None,
-                avoid_edge: Some((NodeId(u), NodeId(v))),
+                avoid_edge: Some(removed),
                 target: None,
             };
-            let (mut radix, mut binary) = engine_pair(n);
             dijkstra_in(&mut radix, &g, NodeId(0), Direction::Forward, opts);
-            dijkstra_in(&mut binary, &g, NodeId(0), Direction::Forward, opts);
+            let reference = reference_link(&g, NodeId(0), Direction::Forward, Some(removed));
             for w in (0..n).map(NodeId::new) {
-                prop_assert_eq!(radix.dist(w), binary.dist(w));
+                prop_assert_eq!(radix.dist(w), reference.dist(w));
             }
         }
         Ok(())
     });
 }
 
-/// Early-exit sweeps settle engine-dependent prefixes, so only the
+/// Early-exit sweeps settle queue-dependent prefixes, so only the
 /// target's distance is comparable — and it must match the full sweep.
 #[test]
 fn early_exit_targets_agree() {
@@ -201,17 +290,17 @@ fn early_exit_targets_agree() {
         let mut next = lcg(seed ^ 0x5EED);
         let costs: Vec<u64> = (0..n).map(|_| next() % 6).collect();
         let g = NodeWeightedGraph::from_pairs_units(&edges, &costs);
-        let (mut radix, mut binary) = engine_pair(n);
+        let mut radix = DijkstraWorkspace::with_capacity(n);
         for t in (1..n).map(NodeId::new) {
             let opts = NodeDijkstraOptions {
                 avoid: None,
                 target: Some(t),
             };
             node_dijkstra_in(&mut radix, &g, NodeId(0), opts);
-            node_dijkstra_in(&mut binary, &g, NodeId(0), opts);
-            prop_assert_eq!(radix.dist(t), binary.dist(t));
+            let reference = reference_node(&g, NodeId(0), None, Some(t));
+            prop_assert_eq!(radix.dist(t), reference.dist(t));
             node_dijkstra_in(&mut radix, &g, NodeId(0), NodeDijkstraOptions::default());
-            prop_assert_eq!(radix.dist(t), binary.dist(t));
+            prop_assert_eq!(radix.dist(t), reference.dist(t));
         }
         Ok(())
     });
@@ -249,10 +338,11 @@ fn check_wireless_instance(adj: Adjacency, rng: &mut SmallRng) {
         .map(|_| Cost::from_micros(rng.gen_range(0u64..100_000_000)))
         .collect();
     let g = NodeWeightedGraph::new(adj, costs);
-    let (mut radix, mut binary) = engine_pair(n);
+    let mut radix = DijkstraWorkspace::with_capacity(n);
     for origin in [NodeId(0), NodeId::new(n / 2), NodeId::new(n - 1)] {
         node_dijkstra_in(&mut radix, &g, origin, NodeDijkstraOptions::default());
-        node_dijkstra_in(&mut binary, &g, origin, NodeDijkstraOptions::default());
-        assert_sweeps_agree(&radix, &binary, n, origin, |_, v| g.cost(v));
+        let reference = reference_node(&g, origin, None, None);
+        assert_sweeps_agree(&radix, &reference, n, origin, |_, v| g.cost(v));
+        assert_eq!(reference.dist, bellman_ford_node(&g, origin));
     }
 }

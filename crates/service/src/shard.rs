@@ -107,7 +107,7 @@ impl Shard {
     /// graph that was never published.
     pub(crate) fn reset(&self) {
         let mut engine = self.engine.lock().unwrap_or_else(PoisonError::into_inner);
-        *engine = IncrementalEngine::with_queue(engine.threads(), engine.queue_kind())
+        *engine = IncrementalEngine::with_threads(engine.threads())
             .with_damage_threshold(engine.damage_threshold());
         drop(engine);
         self.engine.clear_poison();

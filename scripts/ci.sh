@@ -8,17 +8,20 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo test -q --offline"
-cargo test -q --offline
-
-# The plain `cargo test` above covers only the facade package; the
-# service batteries, the warm-resize churn battery and the incremental
-# engine batteries (cold-oracle parity, resize outcomes, audits) run
-# here too.
-echo "==> service batteries + incremental engine batteries"
-cargo test -q --offline -p truthcast-service
-cargo test -q --offline -p truthcast-core --test resize_vs_cold --test incremental_vs_cold \
-    --test cold_resize --test incremental_audits
+# The workspace's `default-members` make the plain `cargo test` run the
+# facade and every crate's tests. TEST_FLOOR is the committed count of
+# passing tests: if a manifest edit silently drops a crate or a test
+# target from that run, the sum falls below it and CI fails.
+TEST_FLOOR=561
+echo "==> cargo test -q --offline (floor: $TEST_FLOOR passing tests)"
+mkdir -p target
+cargo test -q --offline 2>&1 | tee target/ci-test.log
+passed=$(grep -Eo '[0-9]+ passed' target/ci-test.log | awk '{s += $1} END {print s + 0}')
+echo "==> $passed tests passed"
+if [ "$passed" -lt "$TEST_FLOOR" ]; then
+    echo "ci.sh: $passed passing tests is below the committed floor of $TEST_FLOOR" >&2
+    exit 1
+fi
 
 # Bench smoke test: compile every bench target and run one short sample
 # of each into a scratch dir — no thresholds, just "the suite still runs

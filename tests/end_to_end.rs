@@ -7,21 +7,43 @@ use truthcast_rt::{RngCore, SeedableRng};
 use truthcast::core::{fast_payments, naive_payments};
 use truthcast::distsim::convergence_report;
 use truthcast::graph::connectivity::is_connected;
+use truthcast::graph::generators::random_placement;
+use truthcast::graph::geometry::Region;
 use truthcast::graph::{Cost, NodeId};
 use truthcast::protocol::{run_honest_session, Bank, Pki};
-use truthcast::wireless::{all_to_ap_sessions, Deployment, EnergyLedger};
+use truthcast::wireless::{all_to_ap_sessions, Deployment, EnergyLedger, RadioParams};
 
-/// A connected paper-sim1 deployment with random scalar relay costs.
+/// Placements a fixture generator may reject before it gives up.
+const MAX_ATTEMPTS: usize = 256;
+
+/// A connected paper-sim1 deployment (2000 m × 2000 m region) with
+/// random scalar relay costs.
 fn connected_instance(n: usize, seed: u64) -> truthcast::graph::NodeWeightedGraph {
+    connected_instance_in(n, Region::PAPER, seed)
+}
+
+/// A connected deployment of `n` paper-sim1 radios (common 300 m range)
+/// uniform in `region`, with random scalar relay costs. Panics naming
+/// the seed once [`MAX_ATTEMPTS`] placements were all disconnected.
+fn connected_instance_in(
+    n: usize,
+    region: Region,
+    seed: u64,
+) -> truthcast::graph::NodeWeightedGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
-    loop {
-        let d = Deployment::paper_sim1(n, 2.0, &mut rng);
+    for _ in 0..MAX_ATTEMPTS {
+        let d = Deployment {
+            positions: random_placement(n, region, &mut rng),
+            radios: vec![RadioParams::PAPER_SIM1; n],
+            kappa: 2.0,
+        };
         let costs = d.random_node_costs(1.0, 10.0, &mut rng);
         let g = d.to_node_weighted(costs);
         if is_connected(g.adjacency()) {
             return g;
         }
     }
+    panic!("seed {seed}: no connected {n}-node deployment in {MAX_ATTEMPTS} attempts");
 }
 
 #[test]
@@ -56,9 +78,8 @@ fn distributed_protocol_agrees_with_centralized_on_deployments() {
 /// sessions never hit monopoly pricing.
 fn biconnected_dense_instance(n: usize, seed: u64) -> truthcast::graph::NodeWeightedGraph {
     use truthcast::graph::generators::random_udg;
-    use truthcast::graph::geometry::Region;
     let mut rng = SmallRng::seed_from_u64(seed);
-    loop {
+    for _ in 0..MAX_ATTEMPTS {
         let (_, adj) = random_udg(n, Region::new(900.0, 900.0), 300.0, &mut rng);
         if !truthcast::graph::connectivity::is_biconnected(&adj) {
             continue;
@@ -68,6 +89,7 @@ fn biconnected_dense_instance(n: usize, seed: u64) -> truthcast::graph::NodeWeig
             .collect();
         return truthcast::graph::NodeWeightedGraph::new(adj, costs);
     }
+    panic!("seed {seed}: no biconnected {n}-node instance in {MAX_ATTEMPTS} attempts");
 }
 
 #[test]
@@ -125,8 +147,11 @@ fn full_settlement_day_conserves_money_and_covers_relays() {
 #[test]
 fn directed_and_node_models_agree_on_symmetric_instances() {
     // When every link's cost equals the head's node cost, the directed
-    // link-cost model reproduces the node-weighted LCP cost.
-    let g = connected_instance(40, 123);
+    // link-cost model reproduces the node-weighted LCP cost. The 40
+    // nodes sit at the paper's sparsest sim1 density (100 nodes per
+    // 2000 m × 2000 m), where almost every placement is connected.
+    let side = 2000.0 * (40.0f64 / 100.0).sqrt();
+    let g = connected_instance_in(40, Region::new(side, side), 123);
     let arcs: Vec<(NodeId, NodeId, Cost)> = g
         .adjacency()
         .edges()
