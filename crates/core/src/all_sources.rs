@@ -16,16 +16,23 @@
 //!    ([`truthcast_graph::SubtreeIntervals`]) make "is `w` below relay
 //!    `x`?" an O(1) compare, and each relay's subtree a contiguous
 //!    preorder slice.
-//! 3. **Per-relay crossing-edge scan.** Removing a relay `x` cuts off
-//!    exactly `S = subtree(x) \ {x}`. For every source `y ∈ S` *at once*,
-//!    one restricted Dijkstra over the slice `S` computes
+//! 3. **Per-relay detour rows.** Removing a relay `x` cuts off exactly
+//!    `S = subtree(x) \ {x}`. For every source `y ∈ S` *at once*, one
+//!    restricted Dijkstra over the slice `S` computes
 //!    `F(y) = ‖P_{-x}(y, 0, d)‖`: each `y` is seeded with its best
 //!    *escape* over crossing arcs `(y, w)`, `w ∉ subtree(x)` (the suffix
 //!    cost from `w` is exactly the unconstrained `R'(w)`, because `w`'s
 //!    own tree path avoids `x`), and relaxation steps stay inside `S`.
-//!    Every arc out of `S` is scanned once per ancestor relay, so the
-//!    total work is `O(Σ_x (m_x + n_x log n_x))` — proportional to the
-//!    *output* table (`Σ_x n_x = Σ_i depth(i)`), not to `n` full sweeps.
+//!    Every run executes on one *slice graph* built per call: the tree
+//!    relabelled by preorder position, with each neighbour list sorted by
+//!    position. `S` is then a contiguous position range, a member's
+//!    crossing arcs sit at the two ends of its list (an escape scan costs
+//!    `O(crossing arcs + 2)`, not `O(degree)`), and each run is a
+//!    monotone radix-queue Dijkstra over slice-local arrays. The kernel
+//!    is shared with [`crate::delta`] (see the private `detour` module).
+//!    The total work is proportional to the slices' sizes and the arcs
+//!    inside or leaving them — to the *output* table
+//!    (`Σ_x n_x = Σ_i depth(i)`), not to `n` full sweeps.
 //! 4. **Exact fallback.** The replacement *values* above are exact graph
 //!    minima — tie-independent. Only the reported `path` vector is
 //!    tie-sensitive: `fast_payments` breaks shortest-path ties by its
@@ -42,14 +49,13 @@
 //!    the fallback rate.
 //!
 //! The per-relay runs are independent, so they shard across
-//! `truthcast_rt::par` workers (each with its own lazily-reset scratch);
+//! `truthcast_rt::par` workers (each with its own slice-local scratch);
 //! results are scattered in index order, keeping the output deterministic
 //! and bit-identical at any thread count, matching the batch-engine
 //! contract. A symmetric link-cost variant (paper Section III-F, first
 //! simulation) mirrors [`crate::fast_symmetric_payments`] the same way.
 
 use truthcast_graph::dijkstra::{dijkstra_in, DijkstraOptions, Direction};
-use truthcast_graph::heap::IndexedHeap;
 use truthcast_graph::node_dijkstra::NodeDijkstraOptions;
 use truthcast_graph::workspace::DijkstraWorkspace;
 use truthcast_graph::{
@@ -59,77 +65,10 @@ use truthcast_mechanism::vcg::vcg_payment_selected;
 use truthcast_rt::{default_threads, par_map_with};
 
 use crate::batch::{price_link_session, price_node_session, SessionQuery, WorkerScratch};
+use crate::detour::{detour_row, DetourModel, SliceGraph, SliceScratch};
 use crate::fast_symmetric::is_symmetric;
 use crate::pricing::UnicastPricing;
 use crate::trace::audit_unicast;
-
-/// The two cost models share every phase except seeding/relaxation
-/// arithmetic and the final payment formula; this trait captures the
-/// differences so the crossing-edge machinery is written once.
-pub(crate) trait DetourModel: Sync {
-    fn num_nodes(&self) -> usize;
-    /// Visits every out-neighbor `w` of `y` with the arc's model cost
-    /// (the neighbor's node cost, or the arc weight).
-    fn arcs_from<F: FnMut(NodeId, Cost)>(&self, y: NodeId, f: F);
-    /// Cost of continuing toward the AP through neighbor `w`, given the
-    /// arc cost and `w`'s inclusive table value `R'(w)`.
-    fn onward(&self, arc: Cost, dist_w: Cost) -> Cost;
-    /// Cost added when a detour steps *back into* `y` from a neighbor
-    /// reached via the arc `y → neighbor` with cost `arc`.
-    fn reverse_step(&self, y: NodeId, arc: Cost) -> Cost;
-    /// `‖P(v, ap)‖` read off the inclusive table.
-    fn lcp_at(&self, v: NodeId, dist: &[Cost]) -> Cost;
-}
-
-impl DetourModel for NodeWeightedGraph {
-    fn num_nodes(&self) -> usize {
-        self.num_nodes()
-    }
-    #[inline]
-    fn arcs_from<F: FnMut(NodeId, Cost)>(&self, y: NodeId, mut f: F) {
-        for &w in self.neighbors(y) {
-            f(w, self.cost(w));
-        }
-    }
-    #[inline]
-    fn onward(&self, _arc: Cost, dist_w: Cost) -> Cost {
-        // R'(w) already counts c_w (and is 0 at the AP itself).
-        dist_w
-    }
-    #[inline]
-    fn reverse_step(&self, y: NodeId, _arc: Cost) -> Cost {
-        self.cost(y)
-    }
-    #[inline]
-    fn lcp_at(&self, v: NodeId, dist: &[Cost]) -> Cost {
-        dist[v.index()].saturating_sub(self.cost(v))
-    }
-}
-
-impl DetourModel for LinkWeightedDigraph {
-    fn num_nodes(&self) -> usize {
-        self.num_nodes()
-    }
-    #[inline]
-    fn arcs_from<F: FnMut(NodeId, Cost)>(&self, y: NodeId, mut f: F) {
-        for a in self.out_arcs(y) {
-            f(a.head, a.weight);
-        }
-    }
-    #[inline]
-    fn onward(&self, arc: Cost, dist_w: Cost) -> Cost {
-        arc.saturating_add(dist_w)
-    }
-    #[inline]
-    fn reverse_step(&self, _y: NodeId, arc: Cost) -> Cost {
-        // Symmetric model: the arc back into `y` costs the same.
-        arc
-    }
-    #[inline]
-    fn lcp_at(&self, v: NodeId, dist: &[Cost]) -> Cost {
-        dist[v.index()]
-    }
-}
 
 /// Shared-sweep structure: interval labels plus the tie-ambiguity marks.
 pub(crate) struct SharedSweep {
@@ -185,124 +124,6 @@ struct ReplacementTable {
     pops: u64,
 }
 
-/// Per-worker scratch for the restricted runs: a lazily-reset value
-/// array plus a binary indexed heap (the seeds arrive unsorted, and the
-/// runs are tiny — the radix queue's monotone advantage is in the full
-/// sweeps, mirroring Algorithm 1's level-set runs). The `via` array is
-/// only maintained by [`detour_run_via`]; every run writes each member's
-/// entry before reading it, so no cross-run reset is needed.
-pub(crate) struct DetourScratch {
-    pub(crate) dval: Vec<Cost>,
-    pub(crate) heap: IndexedHeap<Cost>,
-    pub(crate) via: Vec<u32>,
-}
-
-/// Sentinel `via` entry: the member's value is supported directly by its
-/// best escape arc, not by another slice member.
-pub(crate) const ESC_VIA: u32 = u32::MAX;
-
-impl DetourScratch {
-    pub(crate) fn new(n: usize) -> DetourScratch {
-        DetourScratch {
-            dval: vec![Cost::INF; n],
-            heap: IndexedHeap::new(n),
-            via: vec![ESC_VIA; n],
-        }
-    }
-}
-
-/// One restricted Dijkstra over `subtree(x) \ {x}`: returns
-/// `F(y) = ‖P_{-x}(y, ap)‖` for every member, in slice order.
-pub(crate) fn detour_run<M: DetourModel>(
-    m: &M,
-    dist: &[Cost],
-    iv: &SubtreeIntervals,
-    x: NodeId,
-    sc: &mut DetourScratch,
-) -> (Vec<Cost>, u64, u64) {
-    let (vals, _, scans, pops) = detour_run_impl::<M, false>(m, dist, iv, x, sc);
-    (vals, scans, pops)
-}
-
-/// [`detour_run`] plus the support forest: `vias[i]` is the slice member
-/// the `i`-th member's final value relaxed through, or [`ESC_VIA`] when
-/// its best escape seeded it directly. The forest lets the delta engine
-/// re-validate cached rows member-by-member across epochs.
-pub(crate) fn detour_run_via<M: DetourModel>(
-    m: &M,
-    dist: &[Cost],
-    iv: &SubtreeIntervals,
-    x: NodeId,
-    sc: &mut DetourScratch,
-) -> (Vec<Cost>, Vec<u32>, u64, u64) {
-    detour_run_impl::<M, true>(m, dist, iv, x, sc)
-}
-
-fn detour_run_impl<M: DetourModel, const VIA: bool>(
-    m: &M,
-    dist: &[Cost],
-    iv: &SubtreeIntervals,
-    x: NodeId,
-    sc: &mut DetourScratch,
-) -> (Vec<Cost>, Vec<u32>, u64, u64) {
-    let members = &iv.subtree(x)[1..];
-    let DetourScratch { dval, heap, via } = sc;
-    let mut scans = 0u64;
-    let mut pops = 0u64;
-    heap.clear();
-    // Seed every member with its best escape over crossing arcs: the
-    // first step that leaves subtree(x) lands at a node whose own tree
-    // path avoids x, so the optimal suffix is the unconstrained R'.
-    for &y in members {
-        let mut esc = Cost::INF;
-        m.arcs_from(y, |w, arc| {
-            scans += 1;
-            if !iv.is_ancestor(x, w) {
-                esc = esc.min(m.onward(arc, dist[w.index()]));
-            }
-        });
-        dval[y.index()] = esc;
-        if VIA {
-            via[y.index()] = ESC_VIA;
-        }
-        if esc.is_finite() {
-            heap.push(y.0, esc);
-        }
-    }
-    // Relax strictly inside the subtree slice; arcs to x itself are
-    // excluded (x is removed), arcs leaving the slice were consumed as
-    // escapes above.
-    while let Some((yy, fy)) = heap.pop_min() {
-        pops += 1;
-        let y = NodeId(yy);
-        if fy > dval[y.index()] {
-            continue;
-        }
-        m.arcs_from(y, |z, arc| {
-            if iv.is_strict_descendant(z, x) {
-                let cand = fy.saturating_add(m.reverse_step(y, arc));
-                if cand < dval[z.index()] {
-                    dval[z.index()] = cand;
-                    if VIA {
-                        via[z.index()] = yy;
-                    }
-                    heap.push_or_update(z.0, cand);
-                }
-            }
-        });
-    }
-    let vals: Vec<Cost> = members.iter().map(|&y| dval[y.index()]).collect();
-    let vias: Vec<u32> = if VIA {
-        members.iter().map(|&y| via[y.index()]).collect()
-    } else {
-        Vec::new()
-    };
-    for &y in members {
-        dval[y.index()] = Cost::INF;
-    }
-    (vals, vias, scans, pops)
-}
-
 fn subtree_replacements<M: DetourModel>(
     m: &M,
     dist: &[Cost],
@@ -321,12 +142,11 @@ fn subtree_replacements<M: DetourModel>(
         .copied()
         .filter(|&x| iv.subtree(x).len() >= 2 && !shared.fallback[x.index()])
         .collect();
-    let results = par_map_with(
-        xs.len(),
-        threads,
-        || DetourScratch::new(n),
-        |sc, i| detour_run(m, dist, iv, xs[i], sc),
-    );
+    let sg = SliceGraph::new(m, iv, dist);
+    let results = par_map_with(xs.len(), threads, SliceScratch::new, |sc, i| {
+        let st = detour_row(&sg, xs[i], None, sc);
+        (sc.values().to_vec(), st)
+    });
 
     let mut per_source: Vec<Vec<Cost>> = vec![Vec::new(); n];
     for &v in iv.order().iter().skip(1) {
@@ -337,9 +157,9 @@ fn subtree_replacements<M: DetourModel>(
     }
     let mut scans = 0u64;
     let mut pops = 0u64;
-    for (&x, (vals, s, p)) in xs.iter().zip(results) {
-        scans += s;
-        pops += p;
+    for (&x, (vals, st)) in xs.iter().zip(results) {
+        scans += st.scans;
+        pops += st.pops;
         let dx = iv.depth(x).expect("relay is in tree");
         for (&y, f) in iv.subtree(x)[1..].iter().zip(vals) {
             if shared.fallback[y.index()] {

@@ -28,9 +28,11 @@
 //!    crossing arcs (every intact neighbor's old distance is a certified
 //!    upper bound, because a non-dirty node's entire tree path avoids all
 //!    damage), decrease seeds are offered their best new candidate, and
-//!    one restricted Dijkstra settles exactly the affected region. The
-//!    result is the exact new distance table plus a valid tight parent
-//!    tree; everything the run settled is recorded in a *touched* set.
+//!    one restricted Dijkstra settles exactly the affected region. All
+//!    seeds are pushed before the first pop, so the run is monotone and
+//!    uses the radix queue. The result is the exact new distance table
+//!    plus a valid tight parent tree; everything the run settled is
+//!    recorded in a *touched* set.
 //! 4. **Re-price.** The per-relay detour rows (`F(y) = ‖P_{-x}(y, ap)‖`,
 //!    the same restricted runs as the cold engine) are cached across
 //!    epochs together with their *support forest* (which neighbor — or
@@ -45,8 +47,13 @@
 //!    *values* that moved, declared-cost changes, changed-arc endpoints,
 //!    and neighbors of nodes whose tree path moved) keep their cached
 //!    value, everything else is re-seeded and settled by a restricted
-//!    Dijkstra bordered by the intact members ([`repair_row`]'s header
-//!    gives the exactness argument). Sources are then selected
+//!    Dijkstra bordered by the intact members. Cold rows and repaired
+//!    rows come from one kernel (the private `detour` module, whose docs
+//!    give the exactness argument), run on a slice graph built once per
+//!    epoch from the repaired tree: nodes relabelled by preorder
+//!    position, so every slice is a position range. Cached rows and
+//!    their support forests stay keyed by node id, because positions are
+//!    relabelled every epoch. Sources are then selected
 //!    individually: the subtrees of maximal touched nodes (their root
 //!    path moved), the members whose row diff shows an `F` value
 //!    actually changed, and the sources whose tie-ambiguity mark
@@ -85,7 +92,10 @@
 //!
 //! Observability: `core.delta.{deltas,dirty_nodes,repaired_slices,
 //! fallbacks,cold_resizes,warm_resizes,born,died,reuses,subtree_runs,
-//! row_repairs,row_rebuilds}` counters — all registered at engine
+//! row_repairs,row_rebuilds,row_members_kept,row_members_resettled}`
+//! counters (the last two split the members of every re-run row into
+//! those whose cached value survived and those the kernel settled
+//! again — the repair's real work) — all registered at engine
 //! construction so quiet runs print explicit zeros — plus
 //! `core.delta.repair` and `core.delta.resize` spans (exported as
 //! `span.core.delta.*_ns`). Audit records are
@@ -105,17 +115,15 @@
 
 use std::sync::{Arc, OnceLock};
 
-use truthcast_graph::heap::IndexedHeap;
 use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
 use truthcast_graph::workspace::DijkstraWorkspace;
-use truthcast_graph::{Cost, NodeId, NodeMap, NodeWeightedGraph, SubtreeIntervals};
+use truthcast_graph::{Cost, NodeId, NodeMap, NodeWeightedGraph, RadixHeap, SubtreeIntervals};
 use truthcast_mechanism::vcg::vcg_payment_selected;
 use truthcast_rt::{default_threads, par_map_with};
 
-use crate::all_sources::{
-    classify, detour_run_via, tree_path, DetourModel, DetourScratch, SharedSweep, ESC_VIA,
-};
+use crate::all_sources::{classify, tree_path, SharedSweep};
 use crate::batch::{price_node_session, SessionQuery, WorkerScratch};
+use crate::detour::{detour_row, CachedRow, DetourModel, SliceGraph, SliceScratch, ESC_VIA};
 use crate::pricing::UnicastPricing;
 use crate::trace::audit_unicast;
 
@@ -504,18 +512,19 @@ pub struct IncrementalEngine {
     threads: usize,
     damage_threshold: f64,
     ws: DijkstraWorkspace,
-    heap: IndexedHeap<Cost>,
-    heap_capacity: usize,
     dist: Vec<Cost>,
     parent: Vec<Option<NodeId>>,
     shared: Option<SharedSweep>,
     /// Per-relay detour rows in slice order (`subtree(x)[1..]`), cached
     /// across epochs; `row_stale[x]` marks rows that missed a recompute
     /// while their relay was fallback-marked, a leaf, or out of tree.
+    /// Rows are keyed by node id, not by slice-graph position: positions
+    /// are relabelled every epoch, and [`IncrementalEngine::remap_state`]
+    /// translates node ids across a resize.
     rows: Vec<Vec<Cost>>,
-    /// Support forest for each cached row ([`ESC_VIA`] = escape-seeded),
-    /// aligned with `rows`; lets [`repair_row`] certify which cached
-    /// values survived an epoch.
+    /// Support forest for each cached row in node ids ([`ESC_VIA`] =
+    /// escape-seeded), aligned with `rows`; lets the kernel's repair
+    /// certify which cached values survived an epoch.
     row_via: Vec<Vec<u32>>,
     row_stale: Vec<bool>,
     /// The current epoch's table, shared copy-on-write with every caller
@@ -539,9 +548,10 @@ impl IncrementalEngine {
     }
 
     /// An engine using exactly `threads` workers (clamped to at least 1).
-    /// Thread count never affects the returned payments. (Cold sweeps run
-    /// on the radix queue; the repair queue is the indexed binary heap,
-    /// because its seeds arrive unsorted.)
+    /// Thread count never affects the returned payments. Every queue the
+    /// engine runs is the monotone radix heap: the cold sweep, the
+    /// distance repair and every detour row push all their seeds before
+    /// the first pop and relax by non-negative costs.
     ///
     /// Registers every `core.delta.*` counter with [`truthcast_obs`] so
     /// `summary_table` prints explicit zeros for events that never fired
@@ -561,6 +571,8 @@ impl IncrementalEngine {
             "core.delta.subtree_runs",
             "core.delta.row_repairs",
             "core.delta.row_rebuilds",
+            "core.delta.row_members_kept",
+            "core.delta.row_members_resettled",
         ] {
             truthcast_obs::register(name);
         }
@@ -568,8 +580,6 @@ impl IncrementalEngine {
             threads: threads.max(1),
             damage_threshold: damage_threshold_from_env(),
             ws: DijkstraWorkspace::new(),
-            heap: IndexedHeap::new(0),
-            heap_capacity: 0,
             dist: Vec::new(),
             parent: Vec::new(),
             shared: None,
@@ -923,11 +933,6 @@ impl IncrementalEngine {
             fallback,
             ambiguous_nodes: old_shared.ambiguous_nodes,
         });
-
-        if self.heap_capacity != new_n {
-            self.heap = IndexedHeap::new(new_n);
-            self.heap_capacity = new_n;
-        }
         (severed, renumbered)
     }
 
@@ -939,10 +944,6 @@ impl IncrementalEngine {
             let _s = truthcast_obs::span("delta.cold_sweep");
             node_dijkstra_in(&mut self.ws, g, ap, NodeDijkstraOptions::default());
             self.ws.export_into(&mut self.dist, &mut self.parent);
-        }
-        if self.heap_capacity != n {
-            self.heap = IndexedHeap::new(n);
-            self.heap_capacity = n;
         }
         let shared = classify(g, &self.dist, &self.parent, ap);
         self.rows.clear();
@@ -976,11 +977,15 @@ impl IncrementalEngine {
     /// their crossing arcs, offer the decrease seeds their best new
     /// candidate, and settle with one Dijkstra run. Leaves exact
     /// distances, a valid tight parent tree, and the touched set.
+    ///
+    /// The run is monotone — every seed is pushed before the first pop,
+    /// and a relaxation adds the head's non-negative cost — so it runs on
+    /// the radix queue.
     fn repair(&mut self, g: &NodeWeightedGraph, region: &DirtyRegion) {
         let n = g.num_nodes();
         self.touched.clear();
         self.touched.resize(n, false);
-        self.heap.clear();
+        let mut heap = RadixHeap::new(n);
         for v in 0..n {
             if region.dirty[v] {
                 self.dist[v] = Cost::INF;
@@ -1006,7 +1011,7 @@ impl IncrementalEngine {
             if best.is_finite() {
                 self.dist[v] = best;
                 self.parent[v] = via;
-                self.heap.push(vid.0, best);
+                heap.push(vid.0, best);
             }
         }
         for &x in &region.decrease_seeds {
@@ -1024,21 +1029,18 @@ impl IncrementalEngine {
             if best < self.dist[x.index()] {
                 self.dist[x.index()] = best;
                 self.parent[x.index()] = via;
-                self.heap.push_or_update(x.0, best);
+                heap.push(x.0, best);
             }
         }
-        while let Some((yy, d)) = self.heap.pop_min() {
+        while let Some((yy, d)) = heap.pop_min() {
             let y = NodeId(yy);
-            if d > self.dist[y.index()] {
-                continue;
-            }
             self.touched[y.index()] = true;
             for &z in g.neighbors(y) {
                 let cand = d.saturating_add(g.cost(z));
                 if cand < self.dist[z.index()] {
                     self.dist[z.index()] = cand;
                     self.parent[z.index()] = Some(y);
-                    self.heap.push_or_update(z.0, cand);
+                    heap.push_or_decrease(z.0, cand);
                 }
             }
         }
@@ -1205,30 +1207,35 @@ impl IncrementalEngine {
             .collect();
         let results = {
             let _s = truthcast_obs::span("delta.subtree_runs");
-            let dist = &self.dist;
-            let iv = &shared.iv;
-            let old_iv = &old_shared.iv;
-            let rows = &self.rows;
-            let row_via = &self.row_via;
-            let (in_g, usable) = (&in_g, &usable);
             let repairs = usable.iter().filter(|&&u| u).count();
             truthcast_obs::add("core.delta.subtree_runs", xs.len() as u64);
             truthcast_obs::add("core.delta.row_repairs", repairs as u64);
             truthcast_obs::add("core.delta.row_rebuilds", (xs.len() - repairs) as u64);
-            par_map_with(
-                xs.len(),
-                self.threads,
-                || RowScratch::new(n),
-                |sc, i| {
+            // The slice graph costs O(n + m): skip it when no row re-runs.
+            if xs.is_empty() {
+                Vec::new()
+            } else {
+                let sg = SliceGraph::new(g, &shared.iv, &self.dist);
+                let damaged: Vec<bool> = sg.order().iter().map(|v| in_g[v.index()]).collect();
+                let (old_iv, rows, row_via) = (&old_shared.iv, &self.rows, &self.row_via);
+                let results = par_map_with(xs.len(), self.threads, SliceScratch::new, |sc, i| {
                     let x = xs[i];
-                    if usable[i] {
-                        let xi = x.index();
-                        repair_row(g, dist, iv, old_iv, x, &rows[xi], &row_via[xi], in_g, sc)
-                    } else {
-                        detour_run_via(g, dist, iv, x, &mut sc.det)
-                    }
-                },
-            )
+                    let cached = usable[i].then(|| CachedRow {
+                        members: &old_iv.subtree(x)[1..],
+                        vals: &rows[x.index()],
+                        vias: &row_via[x.index()],
+                        damaged: &damaged,
+                    });
+                    let st = detour_row(&sg, x, cached, sc);
+                    (sc.values().to_vec(), sc.supports(&sg, x), st)
+                });
+                let (kept, resettled) = results
+                    .iter()
+                    .fold((0, 0), |(k, r), (_, _, st)| (k + st.kept, r + st.resettled));
+                truthcast_obs::add("core.delta.row_members_kept", kept);
+                truthcast_obs::add("core.delta.row_members_resettled", resettled);
+                results
+            }
         };
 
         // S: the sources whose cached pricing can actually be stale.
@@ -1270,7 +1277,7 @@ impl IncrementalEngine {
         let mut stamp = vec![0u32; n];
         let mut old_f = vec![Cost::ZERO; n];
         let mut epoch_mark = 0u32;
-        for ((&x, usable_old), (new_vals, _, _, _)) in xs.iter().zip(&usable).zip(&results) {
+        for ((&x, usable_old), (new_vals, _, _)) in xs.iter().zip(&usable).zip(&results) {
             let xi = x.index();
             if *usable_old {
                 epoch_mark += 1;
@@ -1289,7 +1296,7 @@ impl IncrementalEngine {
                 }
             }
         }
-        for (&x, (new_vals, new_vias, _, _)) in xs.iter().zip(results) {
+        for (&x, (new_vals, new_vias, _)) in xs.iter().zip(results) {
             self.rows[x.index()] = new_vals;
             self.row_via[x.index()] = new_vias;
             self.row_stale[x.index()] = false;
@@ -1317,16 +1324,12 @@ impl IncrementalEngine {
     /// order) and clears their staleness.
     fn run_relays(&mut self, g: &NodeWeightedGraph, shared: &SharedSweep, xs: &[NodeId]) {
         let _s = truthcast_obs::span("delta.subtree_runs");
-        let n = g.num_nodes();
-        let dist = &self.dist;
-        let iv = &shared.iv;
-        let results = par_map_with(
-            xs.len(),
-            self.threads,
-            || DetourScratch::new(n),
-            |sc, i| detour_run_via(g, dist, iv, xs[i], sc),
-        );
-        for (&x, (vals, vias, _, _)) in xs.iter().zip(results) {
+        let sg = SliceGraph::new(g, &shared.iv, &self.dist);
+        let results = par_map_with(xs.len(), self.threads, SliceScratch::new, |sc, i| {
+            detour_row(&sg, xs[i], None, sc);
+            (sc.values().to_vec(), sc.supports(&sg, xs[i]))
+        });
+        for (&x, (vals, vias)) in xs.iter().zip(results) {
             self.rows[x.index()] = vals;
             self.row_via[x.index()] = vias;
             self.row_stale[x.index()] = false;
@@ -1459,183 +1462,6 @@ fn remap_pricing(p: &UnicastPricing, map: &NodeMap) -> Option<UnicastPricing> {
         lcp_cost: p.lcp_cost,
         payments,
     })
-}
-
-/// `flag` bit: the node appeared in the relay's previous-epoch slice.
-const IN_OLD: u8 = 1;
-/// `flag` bit: the cached F value survives this epoch unchanged.
-const VALID: u8 = 2;
-/// `flag` bit: the cached F value must be recomputed.
-const INVALID: u8 = 4;
-
-/// Per-worker scratch for [`repair_row`]: the full-run scratch plus
-/// scatter arrays holding the previous epoch's row. `flag` entries are
-/// zeroed before each run returns; `f_old`/`via_old` reads are gated on
-/// the `IN_OLD` bit, so those arrays never need resetting.
-struct RowScratch {
-    det: DetourScratch,
-    f_old: Vec<Cost>,
-    via_old: Vec<u32>,
-    flag: Vec<u8>,
-    chain: Vec<NodeId>,
-}
-
-impl RowScratch {
-    fn new(n: usize) -> RowScratch {
-        RowScratch {
-            det: DetourScratch::new(n),
-            f_old: vec![Cost::INF; n],
-            via_old: vec![ESC_VIA; n],
-            flag: vec![0; n],
-            chain: Vec::new(),
-        }
-    }
-}
-
-/// Dynamic repair of one cached detour row across an epoch.
-///
-/// A member keeps its cached `F` value iff it persisted in the slice,
-/// sits outside the primitive damage set `in_g`, and its whole support
-/// chain (the `via` forest path down to an escape seed) persisted and
-/// stayed undamaged — then the old value is still achieved by the same
-/// detour, and nothing adjacent to it changed, so it remains a certified
-/// upper bound. Everything else is invalidated, re-seeded from its best
-/// escape, and settled by a slice-restricted Dijkstra alongside the
-/// intact members *bordering* the damage (pushed at their kept values —
-/// the exact analogue of the distance repair's crossing-arc seeds).
-/// Improvements may relax into intact members too, so decreases
-/// propagate out of the damaged region; increases cannot escape it by
-/// the validity argument. The result is bit-identical to a fresh
-/// [`detour_run_via`] in values (the support forest may break ties
-/// differently, which nothing downstream reads for values).
-#[allow(clippy::too_many_arguments)]
-fn repair_row(
-    g: &NodeWeightedGraph,
-    dist: &[Cost],
-    iv: &SubtreeIntervals,
-    old_iv: &SubtreeIntervals,
-    x: NodeId,
-    old_vals: &[Cost],
-    old_vias: &[u32],
-    in_g: &[bool],
-    sc: &mut RowScratch,
-) -> (Vec<Cost>, Vec<u32>, u64, u64) {
-    let old_members = &old_iv.subtree(x)[1..];
-    let members = &iv.subtree(x)[1..];
-    let RowScratch {
-        det,
-        f_old,
-        via_old,
-        flag,
-        chain,
-    } = sc;
-    let DetourScratch { dval, heap, via } = det;
-    let mut scans = 0u64;
-    let mut pops = 0u64;
-    heap.clear();
-
-    for (i, &y) in old_members.iter().enumerate() {
-        f_old[y.index()] = old_vals[i];
-        via_old[y.index()] = old_vias[i];
-        flag[y.index()] = IN_OLD;
-    }
-
-    // Validity walk, memoized through `flag`: each chain is traversed
-    // once, and the verdict at its resolution point back-propagates to
-    // every node walked to reach it. The forest is acyclic (a support
-    // settled strictly earlier in its run's pop order), so the walk
-    // terminates.
-    for &y in members.iter() {
-        let mut cur = y;
-        let verdict = loop {
-            let f = flag[cur.index()];
-            if f & (VALID | INVALID) != 0 {
-                break f & (VALID | INVALID);
-            }
-            if f & IN_OLD == 0 || in_g[cur.index()] {
-                break INVALID;
-            }
-            let v = via_old[cur.index()];
-            if v == ESC_VIA {
-                break VALID;
-            }
-            let vn = NodeId(v);
-            if !iv.is_strict_descendant(vn, x) {
-                // The supporting member left the slice.
-                break INVALID;
-            }
-            chain.push(cur);
-            cur = vn;
-        };
-        flag[cur.index()] |= verdict;
-        for &p in chain.iter() {
-            flag[p.index()] |= verdict;
-        }
-        chain.clear();
-    }
-
-    // Intact members keep their certified old value; damaged members
-    // restart from scratch.
-    let mut invalid = 0usize;
-    for &y in members.iter() {
-        if flag[y.index()] & INVALID != 0 {
-            invalid += 1;
-            dval[y.index()] = Cost::INF;
-            via[y.index()] = ESC_VIA;
-        } else {
-            dval[y.index()] = f_old[y.index()];
-            via[y.index()] = via_old[y.index()];
-        }
-    }
-    if invalid > 0 {
-        for &y in members.iter() {
-            if flag[y.index()] & INVALID == 0 {
-                continue;
-            }
-            let mut esc = Cost::INF;
-            g.arcs_from(y, |w, arc| {
-                scans += 1;
-                if !iv.is_ancestor(x, w) {
-                    esc = esc.min(g.onward(arc, dist[w.index()]));
-                } else if w != x && flag[w.index()] & INVALID == 0 && dval[w.index()].is_finite() {
-                    // Intact border member: seed at its kept value.
-                    heap.push_or_update(w.0, dval[w.index()]);
-                }
-            });
-            dval[y.index()] = esc;
-            if esc.is_finite() {
-                heap.push_or_update(y.0, esc);
-            }
-        }
-        while let Some((yy, fy)) = heap.pop_min() {
-            pops += 1;
-            let y = NodeId(yy);
-            if fy > dval[y.index()] {
-                continue;
-            }
-            g.arcs_from(y, |z, arc| {
-                if iv.is_strict_descendant(z, x) {
-                    let cand = fy.saturating_add(g.reverse_step(y, arc));
-                    if cand < dval[z.index()] {
-                        dval[z.index()] = cand;
-                        via[z.index()] = yy;
-                        heap.push_or_update(z.0, cand);
-                    }
-                }
-            });
-        }
-    }
-
-    let vals: Vec<Cost> = members.iter().map(|&y| dval[y.index()]).collect();
-    let vias: Vec<u32> = members.iter().map(|&y| via[y.index()]).collect();
-    for &y in old_members.iter() {
-        flag[y.index()] = 0;
-    }
-    for &y in members.iter() {
-        flag[y.index()] = 0;
-        dval[y.index()] = Cost::INF;
-    }
-    (vals, vias, scans, pops)
 }
 
 impl Default for IncrementalEngine {
@@ -1878,6 +1704,60 @@ mod tests {
         let got = e.price_epoch_mapped(&g1, NodeId(0), &NodeMap::leave_swap(3, NodeId(2)));
         assert_eq!(e.last_outcome(), EpochOutcome::Cold);
         assert_eq!(*got, all_sources_payments(&g1, NodeId(0)));
+    }
+
+    /// Every non-stale cached row — including rows that no re-priced
+    /// source reads this epoch — equals a fresh cold kernel run on the
+    /// epoch's tree, after every epoch of a random-waypoint trace. A wrong
+    /// row nobody reads would otherwise surface epochs later, if at all.
+    #[test]
+    fn cached_rows_match_cold_rows_every_epoch() {
+        use truthcast_graph::geometry::Region;
+        use truthcast_rt::{Rng, SeedableRng, SmallRng};
+        use truthcast_wireless::deploy::Deployment;
+        use truthcast_wireless::mobility::RandomWaypoint;
+
+        let (mut checked, mut repaired) = (0usize, 0usize);
+        for seed in 0..4u64 {
+            let mut rng = SmallRng::seed_from_u64(0x20A0 + seed);
+            let mut dep = Deployment::paper_sim1(150, 2.0, &mut rng);
+            let mut walk = RandomWaypoint::new(&dep, Region::PAPER, 5.0, 20.0, &mut rng);
+            // Odd seeds draw tie-heavy costs, so fallback marks flip.
+            let costs: Vec<Cost> = if seed % 2 == 0 {
+                dep.random_node_costs(1.0, 50.0, &mut rng)
+            } else {
+                (0..150)
+                    .map(|_| Cost::from_units(rng.gen_range(0..4)))
+                    .collect()
+            };
+            let ap = NodeId(0);
+            let mut e = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
+            for epoch in 0..12 {
+                if epoch > 0 {
+                    walk.advance(&mut dep, 4.0, &mut rng);
+                }
+                let g = dep.to_node_weighted(costs.clone());
+                e.price_epoch(&g, ap);
+                repaired += matches!(e.last_outcome(), EpochOutcome::Repaired { .. }) as usize;
+                let iv = &e.shared.as_ref().expect("priced epoch").iv;
+                let sg = SliceGraph::new(&g, iv, &e.dist);
+                let mut sc = SliceScratch::new();
+                for &x in &iv.order()[1..] {
+                    if e.row_stale[x.index()] || iv.subtree(x).len() < 2 {
+                        continue;
+                    }
+                    detour_row(&sg, x, None, &mut sc);
+                    assert_eq!(
+                        e.rows[x.index()],
+                        sc.values(),
+                        "seed {seed} epoch {epoch} relay {x:?}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(repaired >= 30, "only {repaired} repaired epochs");
+        assert!(checked > 500, "only {checked} rows checked");
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod baselines;
 pub mod batch;
 pub mod collusion_resistant;
 pub mod delta;
+mod detour;
 pub mod directed;
 pub mod edge_agents;
 pub mod fast;

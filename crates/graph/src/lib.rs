@@ -13,11 +13,11 @@
 //!   paper's two network models (node-cost agents, and vector-type agents
 //!   owning directed link costs);
 //! * [`heap::IndexedHeap`] — a decrease-key/delete binary heap for the
-//!   queues whose keys are not monotone: Algorithm 1's sliding
-//!   crossing-edge window, restricted detour searches and the delta
-//!   repair heap;
+//!   queue whose keys are not monotone: Algorithm 1's sliding
+//!   crossing-edge window (and the level searches that feed it);
 //! * [`radix_heap::RadixHeap`] — a monotone bucket queue over fixed-point
-//!   costs, the one queue behind every Dijkstra sweep (`O(m + n log C)`);
+//!   costs, the one queue behind every Dijkstra sweep (`O(m + n log C)`)
+//!   and every run that pushes all its seeds before its first pop;
 //! * [`dijkstra`] / [`node_dijkstra`] — shortest-path sweeps with node
 //!   masks (agent removal) and early exit;
 //! * [`workspace::DijkstraWorkspace`] — reusable sweep buffers with

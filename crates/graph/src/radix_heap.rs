@@ -26,7 +26,9 @@
 //!
 //! Like [`crate::workspace::DijkstraWorkspace`], the position table is
 //! epoch-stamped: [`RadixHeap::clear`] bumps an epoch instead of touching
-//! the `O(n)` table, so a recycled heap starts a new sweep in `O(#buckets)`.
+//! the `O(n)` table and empties only the occupied buckets, so a recycled
+//! heap starts a new sweep in `O(occupied buckets)` — nothing at all after
+//! a run that popped every entry.
 
 use crate::cost::Cost;
 
@@ -262,11 +264,15 @@ impl RadixHeap {
     }
 
     /// Drops every entry and resets the floor to zero, keeping all bucket
-    /// and position capacity. `O(#buckets + entries)`: the position table
-    /// is invalidated by an epoch bump, not rewritten.
+    /// and position capacity. `O(occupied buckets + entries)`: only the
+    /// buckets the occupancy mask names are emptied (a drained heap has
+    /// none), and the position table is invalidated by an epoch bump, not
+    /// rewritten — so recycling the heap across many tiny runs is cheap.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
+        let mut occupied = self.occupied;
+        while occupied != 0 {
+            self.buckets[occupied.trailing_zeros() as usize].clear();
+            occupied &= occupied - 1;
         }
         self.occupied = 0;
         self.last = 0;
