@@ -12,20 +12,20 @@
 //!   through [`node_dijkstra_in`], so the Dijkstra hot path allocates
 //!   nothing once the buffers reach the graph size.
 //! * **The destination-rooted sweep** — Algorithm 1 needs the `R'` table
-//!   (shortest-path tree rooted at the destination). Sessions sharing an
-//!   access point share that table; the engine computes it once per
-//!   distinct destination and caches it for the engine's lifetime (the
-//!   engine borrows the topology immutably, so the cache cannot go
-//!   stale).
+//!   and the canonical LCP tree rooted at the destination (DESIGN.md §2).
+//!   Sessions sharing an access point share both; the engine computes
+//!   them once per distinct destination and caches them for the engine's
+//!   lifetime (the engine borrows the topology immutably, so the cache
+//!   cannot go stale). A session's path is then a walk up that tree.
 //!
 //! Sessions are sharded across `std::thread::scope` workers by
 //! [`truthcast_rt::par_map_with`], which re-sorts results by session
 //! index — so the returned pricings are **deterministic and bit-identical
 //! to the per-session algorithms at any thread count**, including 1. The
-//! equivalence is structural, not coincidental: the one-shot sweeps run
-//! through the same workspace code path (same heap, same relaxation
-//! order, same tie-breaking), and the replacement-cost kernels are pure
-//! functions of the resulting tables. The differential suite
+//! equivalence is structural, not coincidental: the one-shot algorithms
+//! run this very pipeline (`price_session`), the path is a pure function of the `R'`
+//! table, and the replacement-cost kernels are pure functions of the
+//! resulting tables. The differential suite
 //! (`tests/batch_vs_sequential.rs`) asserts this across thread counts on
 //! random instances.
 //!
@@ -35,16 +35,17 @@
 
 use std::collections::BTreeMap;
 
-use truthcast_graph::dijkstra::{dijkstra_in, DijkstraOptions, Direction, DistanceTable};
-use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions, NodeDistanceTable};
+use truthcast_graph::dijkstra::{dijkstra_in, DijkstraOptions, Direction};
+use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
 use truthcast_graph::workspace::DijkstraWorkspace;
-use truthcast_graph::{Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph, Spt};
+use truthcast_graph::{Cost, LinkWeightedDigraph, NodeId, NodeWeightedGraph};
 use truthcast_mechanism::vcg::vcg_payment_selected;
 use truthcast_rt::{default_threads, par_map_with};
 
+use crate::detour::DetourModel;
 use crate::fast::replacement_costs;
 use crate::fast_symmetric::{edge_weighted_replacement_costs, is_symmetric};
-use crate::levels::compute_levels;
+use crate::levels::{canonical_parents, levels_along, tree_path, PathLevels};
 use crate::pricing::UnicastPricing;
 use crate::trace::audit_unicast;
 
@@ -70,9 +71,9 @@ impl SessionQuery {
 ///
 /// One scratch lives on each worker thread for the whole batch; dropping
 /// it records the worker's session count into the
-/// `core.batch.sessions_per_worker` histogram. Shared with the
-/// `all_sources` fallback path (which prices its tie-ambiguous sources
-/// through the same per-session pipeline).
+/// `core.batch.sessions_per_worker` histogram. The one-shot
+/// [`crate::fast_payments`] and [`crate::fast_symmetric_payments`] run
+/// the same per-session pipeline through a scratch of their own.
 pub(crate) struct WorkerScratch {
     pub(crate) ws: DijkstraWorkspace,
     pub(crate) dist: Vec<Cost>,
@@ -149,7 +150,7 @@ pub struct PaymentEngine<'g> {
     threads: usize,
     /// Destination-rooted `R'` tables, shared by every session to the
     /// same destination.
-    target_tables: BTreeMap<NodeId, NodeDistanceTable>,
+    target_tables: BTreeMap<NodeId, TargetTree>,
 }
 
 impl<'g> PaymentEngine<'g> {
@@ -186,17 +187,8 @@ impl<'g> PaymentEngine<'g> {
             truthcast_obs::add("core.batch.target_cache_hits", 1);
         } else {
             truthcast_obs::add("core.batch.target_cache_misses", 1);
-            let mut ws = DijkstraWorkspace::with_capacity(self.g.num_nodes());
-            node_dijkstra_in(&mut ws, self.g, target, NodeDijkstraOptions::default());
-            let (dist, parent) = ws.into_tables();
-            self.target_tables.insert(
-                target,
-                NodeDistanceTable {
-                    origin: target,
-                    dist,
-                    parent,
-                },
-            );
+            self.target_tables
+                .insert(target, target_tree(self.g, target));
         }
     }
 
@@ -228,7 +220,7 @@ impl<'g> PaymentEngine<'g> {
                 let t0 = WorkerScratch::latency_clock();
                 let q = sessions[i];
                 let tj = &tables[&q.target];
-                let priced = price_node_session(g, q, &tj.dist, scratch, "batch");
+                let priced = price_session(g, q, tj, scratch, "batch");
                 scratch.record_latency(t0);
                 priced
             },
@@ -250,67 +242,16 @@ impl<'g> PaymentEngine<'g> {
             let _s = truthcast_obs::span("all_sources.spt_sweep");
             self.warm(ap);
         }
-        let tj = &self.target_tables[&ap];
-        let (out, _fallbacks) = crate::all_sources::node_all_sources_from_table(
+        let tj = self.target_tables.get_mut(&ap).expect("warmed above");
+        crate::all_sources::all_sources_from_table(
             self.g,
             ap,
             &tj.dist,
-            &tj.parent,
+            &mut tj.parent,
             self.threads,
-        );
-        out
+            "all_sources",
+        )
     }
-}
-
-/// Prices one node-weighted session inside a worker: the same pipeline as
-/// [`crate::fast_payments`], with the source sweep running through the
-/// worker's workspace and the destination-rooted `R'` distances supplied
-/// by the caller (the engine cache, or the `all_sources` shared sweep).
-/// `algo` tags the audit records.
-pub(crate) fn price_node_session(
-    g: &NodeWeightedGraph,
-    q: SessionQuery,
-    tj_dist: &[Cost],
-    scratch: &mut WorkerScratch,
-    algo: &'static str,
-) -> Option<UnicastPricing> {
-    assert_ne!(q.source, q.target, "unicast endpoints must differ");
-    node_dijkstra_in(&mut scratch.ws, g, q.source, NodeDijkstraOptions::default());
-    scratch
-        .ws
-        .export_into(&mut scratch.dist, &mut scratch.parent);
-    let spt = Spt::from_parents(q.source, &scratch.parent);
-    let lv = compute_levels(&spt, q.target)?;
-    let lcp_cost = scratch.dist[q.target.index()].saturating_sub(g.cost(q.target));
-    let s = lv.hops();
-    if s == 1 {
-        return Some(UnicastPricing {
-            path: lv.path,
-            lcp_cost,
-            payments: vec![],
-        });
-    }
-    let replacements = replacement_costs(g, &scratch.dist, tj_dist, &lv);
-    let payments: Vec<(NodeId, Cost)> = lv.path[1..s]
-        .iter()
-        .zip(&replacements)
-        .map(|(&r, &repl)| (r, vcg_payment_selected(lcp_cost, repl, g.cost(r))))
-        .collect();
-    audit_unicast(
-        algo,
-        q.source,
-        q.target,
-        lcp_cost,
-        payments
-            .iter()
-            .zip(&replacements)
-            .map(|(&(r, p), &repl)| (r, repl, g.cost(r), p)),
-    );
-    Some(UnicastPricing {
-        path: lv.path,
-        lcp_cost,
-        payments,
-    })
 }
 
 /// Batch VCG pricing engine for the symmetric link-cost (paper Section
@@ -324,7 +265,7 @@ pub struct LinkPaymentEngine<'g> {
     g: &'g LinkWeightedDigraph,
     threads: usize,
     symmetric: bool,
-    target_tables: BTreeMap<NodeId, DistanceTable>,
+    target_tables: BTreeMap<NodeId, TargetTree>,
 }
 
 impl<'g> LinkPaymentEngine<'g> {
@@ -364,26 +305,8 @@ impl<'g> LinkPaymentEngine<'g> {
             truthcast_obs::add("core.batch.target_cache_hits", 1);
         } else {
             truthcast_obs::add("core.batch.target_cache_misses", 1);
-            // Symmetric graph: a forward sweep from the target is the
-            // `R` table, mirroring `fast_symmetric_payments`.
-            let mut ws = DijkstraWorkspace::with_capacity(self.g.num_nodes());
-            dijkstra_in(
-                &mut ws,
-                self.g,
-                target,
-                Direction::Forward,
-                DijkstraOptions::default(),
-            );
-            let (dist, parent) = ws.into_tables();
-            self.target_tables.insert(
-                target,
-                DistanceTable {
-                    origin: target,
-                    direction: Direction::Forward,
-                    dist,
-                    parent,
-                },
-            );
+            self.target_tables
+                .insert(target, target_tree(self.g, target));
         }
     }
 
@@ -415,7 +338,7 @@ impl<'g> LinkPaymentEngine<'g> {
                 let t0 = WorkerScratch::latency_clock();
                 let q = sessions[i];
                 let tj = &tables[&q.target];
-                let priced = price_link_session(g, q, &tj.dist, scratch, "batch_sym");
+                let priced = price_session(g, q, tj, scratch, "batch_sym");
                 scratch.record_latency(t0);
                 priced
             },
@@ -436,58 +359,112 @@ impl<'g> LinkPaymentEngine<'g> {
             let _s = truthcast_obs::span("all_sources.spt_sweep");
             self.warm(ap);
         }
-        let tj = &self.target_tables[&ap];
-        let (out, _fallbacks) = crate::all_sources::link_all_sources_from_table(
+        let tj = self.target_tables.get_mut(&ap).expect("warmed above");
+        crate::all_sources::all_sources_from_table(
             self.g,
             ap,
             &tj.dist,
-            &tj.parent,
+            &mut tj.parent,
             self.threads,
-        );
-        out
+            "all_sources_sym",
+        )
     }
 }
 
-/// Prices one symmetric link-cost session inside a worker: the same
-/// pipeline as [`crate::fast_symmetric_payments`] (minus the per-call
-/// symmetry check, hoisted to engine construction). `algo` tags the
-/// audit records.
-pub(crate) fn price_link_session(
-    g: &LinkWeightedDigraph,
+/// A destination-rooted table with the canonical LCP tree in place of
+/// the sweep's parents: what every session toward that destination reads.
+pub(crate) struct TargetTree {
+    /// `R'` (node model) or `R` (link model) toward the destination.
+    pub(crate) dist: Vec<Cost>,
+    /// The canonical LCP tree ([`canonical_parents`]).
+    pub(crate) parent: Vec<Option<NodeId>>,
+}
+
+/// What the per-session pipeline needs beyond [`DetourModel`]: the
+/// model's unrestricted sweep and Algorithm 1's replacement-cost pass.
+pub(crate) trait SessionModel: DetourModel {
+    /// One sweep from `origin` into `ws` (forward on the link model,
+    /// which on a symmetric graph is also the sweep toward `origin`).
+    fn sweep(&self, ws: &mut DijkstraWorkspace, origin: NodeId);
+    /// `‖P_{-r_l}‖` for `l = 1 … s-1` from the two tables and the levels.
+    fn replacement_costs(
+        &self,
+        from_source: &[Cost],
+        to_target: &[Cost],
+        lv: &PathLevels,
+    ) -> Vec<Cost>;
+}
+
+impl SessionModel for NodeWeightedGraph {
+    fn sweep(&self, ws: &mut DijkstraWorkspace, origin: NodeId) {
+        node_dijkstra_in(ws, self, origin, NodeDijkstraOptions::default());
+    }
+    fn replacement_costs(&self, l: &[Cost], r: &[Cost], lv: &PathLevels) -> Vec<Cost> {
+        replacement_costs(self, l, r, lv)
+    }
+}
+
+impl SessionModel for LinkWeightedDigraph {
+    fn sweep(&self, ws: &mut DijkstraWorkspace, origin: NodeId) {
+        dijkstra_in(
+            ws,
+            self,
+            origin,
+            Direction::Forward,
+            DijkstraOptions::default(),
+        );
+    }
+    fn replacement_costs(&self, l: &[Cost], r: &[Cost], lv: &PathLevels) -> Vec<Cost> {
+        edge_weighted_replacement_costs(self, l, r, lv)
+    }
+}
+
+/// The destination-rooted table for `target` with canonical parents.
+pub(crate) fn target_tree<M: SessionModel>(m: &M, target: NodeId) -> TargetTree {
+    let mut ws = DijkstraWorkspace::with_capacity(m.num_nodes());
+    m.sweep(&mut ws, target);
+    let (dist, mut parent) = ws.into_tables();
+    canonical_parents(m, &dist, target, &mut parent);
+    TargetTree { dist, parent }
+}
+
+/// Prices one session inside a worker: the pipeline behind
+/// [`crate::fast_payments`] and [`crate::fast_symmetric_payments`]
+/// (minus the symmetry check, which the caller has done). The canonical
+/// path is read off the destination's tree, and the source sweep runs
+/// through the worker's workspace only when the path has relays. `algo`
+/// tags the audit records.
+pub(crate) fn price_session<M: SessionModel>(
+    m: &M,
     q: SessionQuery,
-    tj_dist: &[Cost],
+    tj: &TargetTree,
     scratch: &mut WorkerScratch,
     algo: &'static str,
 ) -> Option<UnicastPricing> {
     assert_ne!(q.source, q.target, "unicast endpoints must differ");
-    dijkstra_in(
-        &mut scratch.ws,
-        g,
-        q.source,
-        Direction::Forward,
-        DijkstraOptions::default(),
-    );
-    scratch
-        .ws
-        .export_into(&mut scratch.dist, &mut scratch.parent);
-    let spt = Spt::from_parents(q.source, &scratch.parent);
-    let lv = compute_levels(&spt, q.target)?;
-    let lcp_cost = scratch.dist[q.target.index()];
-    let s = lv.hops();
-    if s == 1 {
+    if tj.dist[q.source.index()].is_inf() {
+        return None;
+    }
+    let path = tree_path(&tj.parent, q.source);
+    let lcp_cost = m.lcp_at(q.source, &tj.dist);
+    if path.len() == 2 {
         return Some(UnicastPricing {
-            path: lv.path,
+            path,
             lcp_cost,
             payments: vec![],
         });
     }
-    let replacements = edge_weighted_replacement_costs(g, &scratch.dist, tj_dist, &lv);
-    let payments: Vec<(NodeId, Cost)> = (1..s)
+    m.sweep(&mut scratch.ws, q.source);
+    scratch
+        .ws
+        .export_into(&mut scratch.dist, &mut scratch.parent);
+    let lv = levels_along(&mut scratch.parent, &path);
+    let replacements = m.replacement_costs(&scratch.dist, &tj.dist, &lv);
+    let declared = |l: usize| m.declared(path[l], path[l + 1]);
+    let payments: Vec<(NodeId, Cost)> = (1..path.len() - 1)
         .map(|l| {
-            let relay = lv.path[l];
-            let used_arc = g.arc_cost(relay, lv.path[l + 1]);
-            let delta = replacements[l - 1].saturating_sub(lcp_cost);
-            (relay, used_arc.saturating_add(delta))
+            let pay = vcg_payment_selected(lcp_cost, replacements[l - 1], declared(l));
+            (path[l], pay)
         })
         .collect();
     audit_unicast(
@@ -498,10 +475,10 @@ pub(crate) fn price_link_session(
         payments
             .iter()
             .enumerate()
-            .map(|(k, &(r, p))| (r, replacements[k], g.arc_cost(r, lv.path[k + 2]), p)),
+            .map(|(k, &(r, p))| (r, replacements[k], declared(k + 1), p)),
     );
     Some(UnicastPricing {
-        path: lv.path,
+        path,
         lcp_cost,
         payments,
     })

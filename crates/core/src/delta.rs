@@ -30,9 +30,12 @@
 //!    damage), decrease seeds are offered their best new candidate, and
 //!    one restricted Dijkstra settles exactly the affected region. All
 //!    seeds are pushed before the first pop, so the run is monotone and
-//!    uses the radix queue. The result is the exact new distance table
-//!    plus a valid tight parent tree; everything the run settled is
-//!    recorded in a *touched* set.
+//!    uses the radix queue. The result is the exact new distance table;
+//!    everything the run settled is recorded in a *touched* set. The
+//!    parent tree is then rebuilt as the canonical LCP tree of the new
+//!    distances (DESIGN.md §2), and every node whose canonical parent
+//!    changed is touched too: its root path moved even where no distance
+//!    did.
 //! 4. **Re-price.** The per-relay detour rows (`F(y) = ‖P_{-x}(y, ap)‖`,
 //!    the same restricted runs as the cold engine) are cached across
 //!    epochs together with their *support forest* (which neighbor — or
@@ -55,12 +58,8 @@
 //!    their support forests stay keyed by node id, because positions are
 //!    relabelled every epoch. Sources are then selected
 //!    individually: the subtrees of maximal touched nodes (their root
-//!    path moved), the members whose row diff shows an `F` value
-//!    actually changed, and the sources whose tie-ambiguity mark
-//!    flipped. Everyone else's pricing is reused verbatim. Tie-ambiguous
-//!    (fallback) sources are re-priced through the per-session pipeline
-//!    **every** epoch: their reported path hangs on global sweep
-//!    tie-breaking, which any remote change may flip.
+//!    path moved) and the members whose row diff shows an `F` value
+//!    actually changed. Everyone else's pricing is reused verbatim.
 //! 5. **Damage threshold.** When the dirty region plus seed set exceeds
 //!    `threshold × n` the engine falls back to the cold pipeline — repair
 //!    has no asymptotic edge once most of the tree is damaged. The knob
@@ -104,28 +103,24 @@
 //! are always bit-identical to a cold run).
 //!
 //! Why bit-equality is achievable at all: the assembled output is a pure
-//! function of the distance table. Fallback marks count *tight
-//! continuations* over distances only; a non-fallback source's path is
-//! forced (each hop has exactly one tight neighbor); and the detour rows
-//! are exact graph minima, independent of how shortest-path ties were
-//! broken into a particular parent tree. So the repair only has to
-//! reproduce the exact distances plus *some* valid tight tree — not the
-//! cold sweep's tie-breaking — and the differential battery in
-//! `crates/core/tests/incremental_vs_cold.rs` holds it to that.
+//! function of the distance table. The canonical tree is a function of
+//! the distances, so every reported path is; and the detour rows are
+//! exact graph minima, independent of which shortest-path tree they were
+//! computed on. So the repair only has to reproduce the exact distances,
+//! and the differential battery in
+//! `crates/core/tests/incremental_vs_cold.rs` holds it to that, parent
+//! tables included.
 
 use std::sync::{Arc, OnceLock};
 
 use truthcast_graph::node_dijkstra::{node_dijkstra_in, NodeDijkstraOptions};
 use truthcast_graph::workspace::DijkstraWorkspace;
 use truthcast_graph::{Cost, NodeId, NodeMap, NodeWeightedGraph, RadixHeap, SubtreeIntervals};
-use truthcast_mechanism::vcg::vcg_payment_selected;
 use truthcast_rt::{default_threads, par_map_with};
 
-use crate::all_sources::{classify, tree_path, SharedSweep};
-use crate::batch::{price_node_session, SessionQuery, WorkerScratch};
-use crate::detour::{detour_row, CachedRow, DetourModel, SliceGraph, SliceScratch, ESC_VIA};
+use crate::all_sources::{classify, price_source, relays};
+use crate::detour::{detour_row, CachedRow, SliceGraph, SliceScratch, ESC_VIA};
 use crate::pricing::UnicastPricing;
-use crate::trace::audit_unicast;
 
 /// Fraction of `n` the dirty region (plus seeds) may reach before
 /// [`IncrementalEngine`] abandons repair for a cold sweep.
@@ -346,9 +341,10 @@ pub struct DirtyRegion {
 
 /// Maps a [`GraphDelta`] onto the previous epoch's subtree intervals.
 ///
-/// Conservative by construction: every node whose distance or parent can
-/// change is either dirty or reachable from a decrease seed through
-/// strictly improving relaxations. Changes to the AP's own declared cost
+/// Conservative by construction: every node whose distance can change is
+/// either dirty or reachable from a decrease seed through strictly
+/// improving relaxations. (Canonical parents can change elsewhere too;
+/// the engine detects those after the repair.) Changes to the AP's own declared cost
 /// are skipped outright — the AP-rooted table excludes the origin cost,
 /// and `‖P(v, ap)‖ = R'(v) − c_v` never mentions `c_ap` either.
 pub fn classify_delta(
@@ -513,32 +509,34 @@ pub struct IncrementalEngine {
     damage_threshold: f64,
     ws: DijkstraWorkspace,
     dist: Vec<Cost>,
+    /// The canonical LCP tree of `dist` (DESIGN.md §2), so identical to a
+    /// cold sweep's.
     parent: Vec<Option<NodeId>>,
-    shared: Option<SharedSweep>,
+    iv: Option<SubtreeIntervals>,
     /// Per-relay detour rows in slice order (`subtree(x)[1..]`), cached
-    /// across epochs; `row_stale[x]` marks rows that missed a recompute
-    /// while their relay was fallback-marked, a leaf, or out of tree.
-    /// Rows are keyed by node id, not by slice-graph position: positions
-    /// are relabelled every epoch, and [`IncrementalEngine::remap_state`]
+    /// across epochs. Every live relay's row is current: a relay whose
+    /// slice changes has a touched member or neighbour, so it re-runs.
+    /// A leaf or out-of-tree relay's row is left as it was; it can only
+    /// become live again through a touched node, and then re-runs. Rows
+    /// are keyed by node id, not by slice-graph position: positions are
+    /// relabelled every epoch, and [`IncrementalEngine::remap_state`]
     /// translates node ids across a resize.
     rows: Vec<Vec<Cost>>,
     /// Support forest for each cached row in node ids ([`ESC_VIA`] =
     /// escape-seeded), aligned with `rows`; lets the kernel's repair
     /// certify which cached values survived an epoch.
     row_via: Vec<Vec<u32>>,
-    row_stale: Vec<bool>,
     /// The current epoch's table, shared copy-on-write with every caller
     /// that still holds an earlier return value (see [`PricingTable`]).
     out: PricingTable,
     prev: Option<(NodeWeightedGraph, NodeId)>,
     touched: Vec<bool>,
-    /// Pre-repair snapshots of the distance and parent tables, taken at
-    /// the top of every repair epoch: the row-damage sets compare against
-    /// them to tell *value* changes from mere re-settles.
+    /// The previous epoch's distance and parent tables, kept through every
+    /// repair epoch: the row-damage sets compare against them to tell
+    /// *value* changes from mere re-settles.
     old_dist: Vec<Cost>,
     old_parent: Vec<Option<NodeId>>,
     last_outcome: EpochOutcome,
-    last_fallback_sources: usize,
 }
 
 impl IncrementalEngine {
@@ -582,21 +580,19 @@ impl IncrementalEngine {
             ws: DijkstraWorkspace::new(),
             dist: Vec::new(),
             parent: Vec::new(),
-            shared: None,
+            iv: None,
             rows: Vec::new(),
             row_via: Vec::new(),
-            row_stale: Vec::new(),
             out: Arc::new(Vec::new()),
             prev: None,
             touched: Vec::new(),
             old_dist: Vec::new(),
             old_parent: Vec::new(),
             last_outcome: EpochOutcome::Cold,
-            last_fallback_sources: 0,
         }
     }
 
-    /// The worker count the detour and fallback phases shard across.
+    /// The worker count the detour phase shards across.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -624,24 +620,18 @@ impl IncrementalEngine {
         self.last_outcome
     }
 
-    /// How many sources the most recent epoch re-priced through the
-    /// per-session fallback pipeline (tie-ambiguous LCPs).
-    pub fn last_fallback_sources(&self) -> usize {
-        self.last_fallback_sources
-    }
-
-    /// The current AP-rooted `(dist, parent)` tables. Distances are
-    /// always bit-identical to a cold sweep; the parent tree is *a* valid
-    /// tight tree (tie-breaking may differ from a cold sweep's — the
-    /// assembled payments cannot tell the difference, see module docs).
+    /// The current AP-rooted `(dist, parent)` tables, both bit-identical
+    /// to a cold [`crate::AllSourcesEngine`]'s: `parent` is the canonical
+    /// LCP tree, a pure function of the graph and `dist`.
     pub fn tables(&self) -> (&[Cost], &[Option<NodeId>]) {
         (&self.dist, &self.parent)
     }
 
     /// `touched[v]`: the most recent epoch re-settled `v`'s distance or
-    /// parent (all-true after a cold pass). Every node whose table entry
-    /// actually changed is touched — the conservativeness contract the
-    /// `delta_props` property test pins down.
+    /// changed its canonical parent (all-true after a cold pass). Every
+    /// node whose table entry actually changed is touched — the
+    /// conservativeness contract the `delta_props` property test pins
+    /// down.
     pub fn last_touched(&self) -> &[bool] {
         &self.touched
     }
@@ -664,10 +654,8 @@ impl IncrementalEngine {
                     return Arc::clone(&self.out);
                 }
                 truthcast_obs::add("core.delta.deltas", delta.len() as u64);
-                let region = {
-                    let shared = self.shared.as_ref().expect("prev epoch left tables");
-                    classify_delta(&delta, &shared.iv, &self.parent, ap)
-                };
+                let iv = self.iv.as_ref().expect("prev epoch left tables");
+                let region = classify_delta(&delta, iv, &self.parent, ap);
                 truthcast_obs::add("core.delta.dirty_nodes", region.dirty_count as u64);
                 let damage = region.dirty_count + region.decrease_seeds.len();
                 if (damage as f64) > self.damage_threshold * n as f64 {
@@ -680,7 +668,6 @@ impl IncrementalEngine {
                     truthcast_obs::add("core.delta.repaired_slices", region.slices as u64);
                     let repair_span = truthcast_obs::span("core.delta.repair");
                     self.old_dist.clone_from(&self.dist);
-                    self.old_parent.clone_from(&self.parent);
                     self.repair(g, &region);
                     let repriced = self.reprice(g, ap, &delta, &[], &[]);
                     drop(repair_span);
@@ -779,10 +766,8 @@ impl IncrementalEngine {
         let md = GraphDelta::between_mapped(pg, g, map);
         truthcast_obs::add("core.delta.deltas", md.delta.len() as u64);
         let (severed, renumbered) = self.remap_state(map);
-        let region = {
-            let shared = self.shared.as_ref().expect("remap left tables");
-            classify_delta_severed(&md.delta, &severed, &shared.iv, &self.parent, ap)
-        };
+        let iv = self.iv.as_ref().expect("remap left tables");
+        let region = classify_delta_severed(&md.delta, &severed, iv, &self.parent, ap);
         truthcast_obs::add("core.delta.dirty_nodes", region.dirty_count as u64);
         let damage = region.dirty_count + region.decrease_seeds.len();
         if (damage as f64) > self.damage_threshold * n as f64 {
@@ -795,7 +780,6 @@ impl IncrementalEngine {
             truthcast_obs::add("core.delta.repaired_slices", region.slices as u64);
             let repair_span = truthcast_obs::span("core.delta.repair");
             self.old_dist.clone_from(&self.dist);
-            self.old_parent.clone_from(&self.parent);
             self.repair(g, &region);
             let repaired = self.reprice(g, ap, &md.delta, &md.dead_adjacent, &renumbered);
             drop(repair_span);
@@ -827,13 +811,11 @@ impl IncrementalEngine {
     ///   primitive damage set before any via of its is dereferenced.
     /// * cached pricings — survivors keep their entry with every id
     ///   renumbered; an entry referencing a departed node is dropped.
-    ///   Also safe: a non-fallback source's cached path is its tree
-    ///   path, so a departed reference means a departed tree ancestor,
-    ///   which makes the source dirty (severed slice) and re-assembled
-    ///   this epoch; fallback sources re-price every epoch regardless.
-    /// * shared sweep — intervals remapped (compaction preserves
-    ///   survivor ancestry and slice contiguity), fallback marks carried
-    ///   per survivor.
+    ///   Also safe: a source's cached path is its tree path, so a
+    ///   departed reference means a departed tree ancestor, which makes
+    ///   the source dirty (severed slice) and re-assembled this epoch.
+    /// * intervals — remapped (compaction preserves survivor ancestry and
+    ///   slice contiguity).
     ///
     /// Compaction keeps the *old* preorder, while the post-repair
     /// labeling orders siblings by their *new* indices. A renumbered
@@ -845,7 +827,7 @@ impl IncrementalEngine {
     /// ancestor row is rebuilt by identity against the new slices.
     fn remap_state(&mut self, map: &NodeMap) -> (Vec<NodeId>, Vec<NodeId>) {
         let new_n = map.new_len();
-        let old_shared = self.shared.take().expect("prev epoch left tables");
+        let old_iv = self.iv.take().expect("prev epoch left tables");
         let mut severed: Vec<NodeId> = Vec::new();
         let mut renumbered: Vec<NodeId> = Vec::new();
 
@@ -874,20 +856,14 @@ impl IncrementalEngine {
 
         let mut rows = vec![Vec::new(); new_n];
         let mut row_via = vec![Vec::new(); new_n];
-        let mut row_stale = vec![false; new_n];
         for i in 0..map.old_len() {
             let x = NodeId(i as u32);
             let Some(nx) = map.to_new(x) else { continue };
-            row_stale[nx.index()] = self.row_stale[i];
             let vals = &self.rows[i];
-            if vals.is_empty() {
-                continue;
-            }
-            let members = old_shared.iv.subtree(x);
-            if members.len() != vals.len() + 1 {
-                // A row that was already misaligned with its slice (its
-                // relay missed a refresh) cannot be repaired.
-                row_stale[nx.index()] = true;
+            let members = old_iv.subtree(x);
+            if vals.is_empty() || members.len() != vals.len() + 1 {
+                // A leaf's or an out-of-tree relay's leftover row is not
+                // aligned with its slice; it is dropped, not translated.
                 continue;
             }
             let vias = &self.row_via[i];
@@ -909,7 +885,6 @@ impl IncrementalEngine {
         }
         self.rows = rows;
         self.row_via = row_via;
-        self.row_stale = row_stale;
 
         let mut out = vec![None; new_n];
         for i in 0..map.old_len() {
@@ -921,23 +896,12 @@ impl IncrementalEngine {
             }
         }
         self.out = Arc::new(out);
-
-        let mut fallback = vec![false; new_n];
-        for (i, &fb) in old_shared.fallback.iter().enumerate() {
-            if let Some(nv) = map.to_new(NodeId(i as u32)) {
-                fallback[nv.index()] = fb;
-            }
-        }
-        self.shared = Some(SharedSweep {
-            iv: old_shared.iv.remap(map),
-            fallback,
-            ambiguous_nodes: old_shared.ambiguous_nodes,
-        });
+        self.iv = Some(old_iv.remap(map));
         (severed, renumbered)
     }
 
-    /// Full cold pipeline: AP-rooted sweep, fresh classification, detour
-    /// rows for every live relay, every source assembled.
+    /// Full cold pipeline: AP-rooted sweep, canonical tree, detour rows
+    /// for every live relay, every source assembled.
     fn cold(&mut self, g: &NodeWeightedGraph, ap: NodeId) {
         let n = g.num_nodes();
         {
@@ -945,38 +909,27 @@ impl IncrementalEngine {
             node_dijkstra_in(&mut self.ws, g, ap, NodeDijkstraOptions::default());
             self.ws.export_into(&mut self.dist, &mut self.parent);
         }
-        let shared = classify(g, &self.dist, &self.parent, ap);
+        let iv = classify(g, &self.dist, ap, &mut self.parent);
         self.rows.clear();
         self.rows.resize(n, Vec::new());
         self.row_via.clear();
         self.row_via.resize(n, Vec::new());
-        self.row_stale.clear();
-        self.row_stale.resize(n, false);
         self.touched.clear();
         self.touched.resize(n, true);
-        let mut xs: Vec<NodeId> = Vec::new();
-        for &x in shared.iv.order().iter().skip(1) {
-            if shared.iv.subtree(x).len() < 2 {
-                continue;
-            }
-            if shared.fallback[x.index()] {
-                self.row_stale[x.index()] = true;
-            } else {
-                xs.push(x);
-            }
-        }
-        self.run_relays(g, &shared, &xs);
+        let xs: Vec<NodeId> = relays(&iv).collect();
+        self.run_relays(g, &iv, &xs);
         // A fresh table: one a caller still holds is left to them.
         self.out = Arc::new(vec![None; n]);
         let everything = vec![true; n];
-        self.assemble(g, ap, &shared, &everything);
-        self.shared = Some(shared);
+        self.assemble(g, ap, &iv, &everything);
+        self.iv = Some(iv);
     }
 
     /// Dynamic-SSSP repair: invalidate the dirty slices, seed them from
     /// their crossing arcs, offer the decrease seeds their best new
     /// candidate, and settle with one Dijkstra run. Leaves exact
-    /// distances, a valid tight parent tree, and the touched set.
+    /// distances and the touched set; the parent tree is rebuilt
+    /// canonically from the distances afterwards ([`Self::reprice`]).
     ///
     /// The run is monotone — every seed is pushed before the first pop,
     /// and a relaxation adds the head's non-negative cost — so it runs on
@@ -989,46 +942,29 @@ impl IncrementalEngine {
         for v in 0..n {
             if region.dirty[v] {
                 self.dist[v] = Cost::INF;
-                self.parent[v] = None;
                 self.touched[v] = true;
             }
         }
-        for v in 0..n {
-            if !region.dirty[v] {
-                continue;
-            }
-            let vid = NodeId(v as u32);
-            let (mut best, mut via) = (Cost::INF, None);
-            for &w in g.neighbors(vid) {
-                // Dirty neighbors sit at infinity here, so only intact
-                // distances — certified upper bounds — can seed.
-                let cand = self.dist[w.index()].saturating_add(g.cost(vid));
-                if cand < best {
-                    best = cand;
-                    via = Some(w);
-                }
-            }
+        // Dirty neighbours sit at infinity here, so only intact distances
+        // — certified upper bounds — can seed a dirty node.
+        let best_offer = |dist: &[Cost], v: NodeId| {
+            g.neighbors(v)
+                .iter()
+                .map(|w| dist[w.index()].saturating_add(g.cost(v)))
+                .min()
+                .unwrap_or(Cost::INF)
+        };
+        for v in (0..n).filter(|&v| region.dirty[v]) {
+            let best = best_offer(&self.dist, NodeId(v as u32));
             if best.is_finite() {
                 self.dist[v] = best;
-                self.parent[v] = via;
-                heap.push(vid.0, best);
+                heap.push(v as u32, best);
             }
         }
         for &x in &region.decrease_seeds {
-            if region.dirty[x.index()] {
-                continue;
-            }
-            let (mut best, mut via) = (Cost::INF, None);
-            for &w in g.neighbors(x) {
-                let cand = self.dist[w.index()].saturating_add(g.cost(x));
-                if cand < best {
-                    best = cand;
-                    via = Some(w);
-                }
-            }
+            let best = best_offer(&self.dist, x);
             if best < self.dist[x.index()] {
                 self.dist[x.index()] = best;
-                self.parent[x.index()] = via;
                 heap.push(x.0, best);
             }
         }
@@ -1039,21 +975,20 @@ impl IncrementalEngine {
                 let cand = d.saturating_add(g.cost(z));
                 if cand < self.dist[z.index()] {
                     self.dist[z.index()] = cand;
-                    self.parent[z.index()] = Some(y);
                     heap.push_or_decrease(z.0, cand);
                 }
             }
         }
     }
 
-    /// Post-repair re-pricing: fresh classification, conservative relay
-    /// re-runs, branch-local source re-assembly. Returns the number of
-    /// re-priced sources. `extra_damage` (empty outside a resize epoch)
-    /// names survivors that neighbored a departed node: their escapes
-    /// and support chains may have routed through it, so they join both
-    /// the seed set A and the primitive damage set G. `renumbered`
-    /// (likewise resize-only) joins A alone: its members' values are
-    /// intact, but their ancestors' slices may be reordered (see
+    /// Post-repair re-pricing: canonical tree, conservative relay re-runs,
+    /// branch-local source re-assembly. Returns the number of re-priced
+    /// sources. `extra_damage` (empty outside a resize epoch) names
+    /// survivors that neighbored a departed node: their escapes and
+    /// support chains may have routed through it, so they join both the
+    /// seed set A and the primitive damage set G. `renumbered` (likewise
+    /// resize-only) joins A alone: its members' values are intact, but
+    /// their ancestors' slices may be reordered (see
     /// [`IncrementalEngine::remap_state`]).
     fn reprice(
         &mut self,
@@ -1064,18 +999,27 @@ impl IncrementalEngine {
         renumbered: &[NodeId],
     ) -> usize {
         let n = g.num_nodes();
-        let old_shared = self.shared.take().expect("prev epoch left tables");
-        // Fresh fallback marks and intervals for the repaired tree — the
-        // classification is O(n + m), far below a cold sweep plus detour
-        // recompute.
-        let shared = classify(g, &self.dist, &self.parent, ap);
+        let old_iv = self.iv.take().expect("prev epoch left tables");
+        // The canonical tree of the repaired distances, with the previous
+        // epoch's kept for comparison. Its O(n + m) tight-arc scan is far
+        // below a cold sweep plus detour recompute.
+        std::mem::swap(&mut self.parent, &mut self.old_parent);
+        let iv = classify(g, &self.dist, ap, &mut self.parent);
+        // Movers: a node whose canonical parent changed has a new root
+        // path (and so does its subtree) even where no distance moved.
+        let movers: Vec<NodeId> = (0..n)
+            .filter(|&v| self.old_parent[v] != self.parent[v])
+            .map(|v| NodeId(v as u32))
+            .collect();
+        for &v in &movers {
+            self.touched[v.index()] = true;
+        }
 
         // Seed set A: anything whose local pricing environment changed.
         // A detour row for relay x depends on member costs and arcs, on
-        // crossing arcs, and on escape distances just outside the slice;
-        // fallback marks depend on a node's and its neighbors' distances.
-        // Every such change implies a touched node, a neighbor of one, or
-        // a changed-arc endpoint.
+        // crossing arcs, on escape distances just outside the slice, and
+        // on the slice's membership. Every such change implies a touched
+        // node, a neighbor of one, or a changed-arc endpoint.
         let mut in_a = vec![false; n];
         for v in 0..n {
             if !self.touched[v] {
@@ -1103,7 +1047,7 @@ impl IncrementalEngine {
         let mut in_r = vec![false; n];
         for (v, &active) in in_a.iter().enumerate() {
             let vid = NodeId(v as u32);
-            if !active || vid == ap || !shared.iv.in_tree(vid) {
+            if !active || vid == ap || !iv.in_tree(vid) {
                 continue;
             }
             let mut cur = vid;
@@ -1116,19 +1060,8 @@ impl IncrementalEngine {
             }
         }
 
-        // Re-run every live relay in R, plus any live relay whose cached
-        // row went stale while it was fallback-marked or a leaf.
-        let mut xs: Vec<NodeId> = Vec::new();
-        for &x in shared.iv.order().iter().skip(1) {
-            let live = shared.iv.subtree(x).len() >= 2 && !shared.fallback[x.index()];
-            if live {
-                if in_r[x.index()] || self.row_stale[x.index()] {
-                    xs.push(x);
-                }
-            } else if in_r[x.index()] {
-                self.row_stale[x.index()] = true;
-            }
-        }
+        // Re-run every live relay in R.
+        let xs: Vec<NodeId> = relays(&iv).filter(|x| in_r[x.index()]).collect();
         // Primitive row-damage set: a cached F value's support chain is
         // only suspect where it crosses one of these nodes. Distance
         // *value* changes invalidate neighboring escapes; declared-cost
@@ -1159,14 +1092,10 @@ impl IncrementalEngine {
         for &v in extra_damage {
             in_g[v.index()] = true;
         }
-        // Movers: everything below a changed parent link, in either tree
-        // (interval coverage skips nested roots, keeping this linear).
+        // Everything below a mover, in either tree (interval coverage
+        // skips nested roots, keeping this linear).
         let mut moved = vec![false; n];
-        let movers: Vec<NodeId> = (0..n)
-            .filter(|&v| self.old_parent[v] != self.parent[v])
-            .map(|v| NodeId(v as u32))
-            .collect();
-        for tree in [&shared.iv, &old_shared.iv] {
+        for tree in [&iv, &old_iv] {
             let mut roots: Vec<NodeId> = movers
                 .iter()
                 .copied()
@@ -1194,15 +1123,15 @@ impl IncrementalEngine {
             }
         }
 
-        // An un-stale row is aligned with the previous intervals (any
-        // structural change to its slice refreshed it that epoch), so it
-        // can be *repaired* member-by-member instead of recomputed.
+        // A live relay's cached row is aligned with the previous intervals
+        // (any structural change to its slice re-ran it that epoch), so it
+        // can be *repaired* member-by-member instead of recomputed. A
+        // leftover row of a relay that was a leaf or out of tree fails the
+        // length check.
         let usable: Vec<bool> = xs
             .iter()
             .map(|&x| {
-                !self.row_stale[x.index()]
-                    && old_shared.iv.in_tree(x)
-                    && old_shared.iv.subtree(x).len() == self.rows[x.index()].len() + 1
+                old_iv.in_tree(x) && old_iv.subtree(x).len() == self.rows[x.index()].len() + 1
             })
             .collect();
         let results = {
@@ -1215,9 +1144,9 @@ impl IncrementalEngine {
             if xs.is_empty() {
                 Vec::new()
             } else {
-                let sg = SliceGraph::new(g, &shared.iv, &self.dist);
+                let sg = SliceGraph::new(g, &iv, &self.dist);
                 let damaged: Vec<bool> = sg.order().iter().map(|v| in_g[v.index()]).collect();
-                let (old_iv, rows, row_via) = (&old_shared.iv, &self.rows, &self.row_via);
+                let (old_iv, rows, row_via) = (&old_iv, &self.rows, &self.row_via);
                 let results = par_map_with(xs.len(), self.threads, SliceScratch::new, |sc, i| {
                     let x = xs[i];
                     let cached = usable[i].then(|| CachedRow {
@@ -1243,36 +1172,31 @@ impl IncrementalEngine {
 
         // (1) Subtrees of touched nodes: a touched node's distance, cost,
         // parent, or tree membership moved, and every descendant inherits
-        // the new root path (descendants of a *distance* change are
-        // touched themselves; this also catches tie-descendants whose
-        // distance held still while their path rerouted above them).
-        // Maximal roots only — preorder sort puts ancestors first, and
-        // out-of-tree touched nodes (which sort ahead of the tree) mark
-        // just themselves to be re-assembled as `None`.
+        // the new root path. Maximal roots only — preorder sort puts
+        // ancestors first, and out-of-tree touched nodes (which sort ahead
+        // of the tree) mark just themselves to be re-assembled as `None`.
         let mut troots: Vec<NodeId> = (0..n)
             .filter(|&v| self.touched[v])
             .map(|v| NodeId(v as u32))
             .collect();
-        troots.sort_by_key(|&t| shared.iv.enter(t));
+        troots.sort_by_key(|&t| iv.enter(t));
         for &t in &troots {
-            if !shared.iv.in_tree(t) {
+            if !iv.in_tree(t) {
                 sel[t.index()] = true;
                 continue;
             }
             if sel[t.index()] {
                 continue;
             }
-            for &y in shared.iv.subtree(t) {
+            for &y in iv.subtree(t) {
                 sel[y.index()] = true;
             }
         }
 
         // (2) Row diffs, keyed by node identity: a recomputed relay row
-        // only invalidates the sources whose F value actually moved. An
-        // un-stale cached row is aligned with the *previous* intervals —
-        // any structural change to `subtree(x)` since the row was
-        // computed put `x` in that epoch's R and refreshed it — so the
-        // old slice maps old entries back to nodes. Rows without a
+        // only invalidates the sources whose F value actually moved. A
+        // usable cached row is aligned with the *previous* intervals, so
+        // the old slice maps old entries back to nodes. Rows without a
         // usable baseline conservatively mark their whole slice.
         let mut stamp = vec![0u32; n];
         let mut old_f = vec![Cost::ZERO; n];
@@ -1281,17 +1205,17 @@ impl IncrementalEngine {
             let xi = x.index();
             if *usable_old {
                 epoch_mark += 1;
-                for (i, &y) in old_shared.iv.subtree(x)[1..].iter().enumerate() {
+                for (i, &y) in old_iv.subtree(x)[1..].iter().enumerate() {
                     stamp[y.index()] = epoch_mark;
                     old_f[y.index()] = self.rows[xi][i];
                 }
-                for (i, &y) in shared.iv.subtree(x)[1..].iter().enumerate() {
+                for (i, &y) in iv.subtree(x)[1..].iter().enumerate() {
                     if stamp[y.index()] != epoch_mark || old_f[y.index()] != new_vals[i] {
                         sel[y.index()] = true;
                     }
                 }
             } else {
-                for &y in &shared.iv.subtree(x)[1..] {
+                for &y in &iv.subtree(x)[1..] {
                     sel[y.index()] = true;
                 }
             }
@@ -1299,32 +1223,18 @@ impl IncrementalEngine {
         for (&x, (new_vals, new_vias, _)) in xs.iter().zip(results) {
             self.rows[x.index()] = new_vals;
             self.row_via[x.index()] = new_vias;
-            self.row_stale[x.index()] = false;
         }
 
-        // (3) Ambiguity flips: a source that switched between the
-        // shared-sweep path and the per-session fallback needs its entry
-        // rewritten from the other pipeline even if nothing else moved.
-        for (v, s) in sel.iter_mut().enumerate() {
-            let vid = NodeId(v as u32);
-            if shared.iv.in_tree(vid)
-                && old_shared.iv.in_tree(vid)
-                && shared.fallback[v] != old_shared.fallback[v]
-            {
-                *s = true;
-            }
-        }
-
-        let repriced = self.assemble(g, ap, &shared, &sel);
-        self.shared = Some(shared);
+        let repriced = self.assemble(g, ap, &iv, &sel);
+        self.iv = Some(iv);
         repriced
     }
 
     /// Recomputes the detour rows for `xs` (sharded, scattered in index
-    /// order) and clears their staleness.
-    fn run_relays(&mut self, g: &NodeWeightedGraph, shared: &SharedSweep, xs: &[NodeId]) {
+    /// order).
+    fn run_relays(&mut self, g: &NodeWeightedGraph, iv: &SubtreeIntervals, xs: &[NodeId]) {
         let _s = truthcast_obs::span("delta.subtree_runs");
-        let sg = SliceGraph::new(g, &shared.iv, &self.dist);
+        let sg = SliceGraph::new(g, iv, &self.dist);
         let results = par_map_with(xs.len(), self.threads, SliceScratch::new, |sc, i| {
             detour_row(&sg, xs[i], None, sc);
             (sc.values().to_vec(), sc.supports(&sg, xs[i]))
@@ -1332,29 +1242,22 @@ impl IncrementalEngine {
         for (&x, (vals, vias)) in xs.iter().zip(results) {
             self.rows[x.index()] = vals;
             self.row_via[x.index()] = vias;
-            self.row_stale[x.index()] = false;
         }
         truthcast_obs::add("core.delta.subtree_runs", xs.len() as u64);
     }
 
     /// Writes pricings for every source selected by `sel`, reading detour
-    /// rows out of the cache by slice offset; tie-ambiguous sources are
-    /// re-priced per-session *unconditionally* (see module docs). Returns
-    /// how many sources were re-priced.
+    /// rows out of the cache by slice offset. Returns how many sources
+    /// were re-priced.
     fn assemble(
         &mut self,
         g: &NodeWeightedGraph,
         ap: NodeId,
-        shared: &SharedSweep,
+        iv: &SubtreeIntervals,
         sel: &[bool],
     ) -> usize {
         let _s = truthcast_obs::span("delta.assemble");
-        let n = g.num_nodes();
-        let iv = &shared.iv;
-        // Selected sources, plus every in-tree fallback source.
-        let rewritten = |v: NodeId| {
-            v != ap && (sel[v.index()] || (shared.fallback[v.index()] && iv.in_tree(v)))
-        };
+        let rewritten = |v: NodeId| v != ap && sel[v.index()];
         if Arc::get_mut(&mut self.out).is_none() {
             // The previous table is still held: start from a copy of the
             // rows this epoch keeps, not of the rows it rewrites.
@@ -1372,76 +1275,18 @@ impl IncrementalEngine {
             );
         }
         let out = Arc::get_mut(&mut self.out).expect("the table was just made unique");
-        let mut fb: Vec<NodeId> = Vec::new();
         let mut repriced = 0usize;
         for v in g.node_ids() {
             if !rewritten(v) {
                 continue;
             }
-            if shared.fallback[v.index()] && iv.in_tree(v) {
-                fb.push(v);
-                continue;
-            }
             repriced += 1;
-            if !iv.in_tree(v) {
-                out[v.index()] = None;
-                continue;
-            }
-            let path = tree_path(&self.parent, v);
-            let s = path.len() - 1;
-            let lcp_cost = g.lcp_at(v, &self.dist);
-            let payments: Vec<(NodeId, Cost)> = (1..s)
-                .map(|l| {
-                    let r = path[l];
-                    let off = iv.slice_offset(r, v).expect("path relay is an ancestor");
-                    (
-                        r,
-                        vcg_payment_selected(lcp_cost, self.rows[r.index()][off - 1], g.cost(r)),
-                    )
-                })
-                .collect();
-            audit_unicast(
-                "all_sources",
-                v,
-                ap,
-                lcp_cost,
-                payments.iter().map(|&(r, p)| {
-                    let off = iv.slice_offset(r, v).expect("path relay is an ancestor");
-                    (r, self.rows[r.index()][off - 1], g.cost(r), p)
-                }),
-            );
-            out[v.index()] = Some(UnicastPricing {
-                path,
-                lcp_cost,
-                payments,
+            out[v.index()] = iv.in_tree(v).then(|| {
+                let (dist, parent, rows) = (&self.dist, &self.parent, &self.rows);
+                price_source(g, dist, parent, iv, rows, v, "all_sources")
             });
         }
-        {
-            let _s = truthcast_obs::span("delta.fallback");
-            let dist = &self.dist;
-            let priced = par_map_with(
-                fb.len(),
-                self.threads,
-                || WorkerScratch::new(n),
-                |sc, i| {
-                    let t0 = WorkerScratch::latency_clock();
-                    let priced = price_node_session(
-                        g,
-                        SessionQuery::new(fb[i], ap),
-                        dist,
-                        sc,
-                        "all_sources",
-                    );
-                    sc.record_latency(t0);
-                    priced
-                },
-            );
-            for (&v, p) in fb.iter().zip(priced) {
-                out[v.index()] = p;
-            }
-        }
-        self.last_fallback_sources = fb.len();
-        repriced + fb.len()
+        repriced
     }
 }
 
@@ -1706,7 +1551,7 @@ mod tests {
         assert_eq!(*got, all_sources_payments(&g1, NodeId(0)));
     }
 
-    /// Every non-stale cached row — including rows that no re-priced
+    /// Every live relay's cached row — including rows that no re-priced
     /// source reads this epoch — equals a fresh cold kernel run on the
     /// epoch's tree, after every epoch of a random-waypoint trace. A wrong
     /// row nobody reads would otherwise surface epochs later, if at all.
@@ -1722,7 +1567,8 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(0x20A0 + seed);
             let mut dep = Deployment::paper_sim1(150, 2.0, &mut rng);
             let mut walk = RandomWaypoint::new(&dep, Region::PAPER, 5.0, 20.0, &mut rng);
-            // Odd seeds draw tie-heavy costs, so fallback marks flip.
+            // Odd seeds draw tie-heavy costs, so canonical parents flip
+            // where no distance moved.
             let costs: Vec<Cost> = if seed % 2 == 0 {
                 dep.random_node_costs(1.0, 50.0, &mut rng)
             } else {
@@ -1739,11 +1585,11 @@ mod tests {
                 let g = dep.to_node_weighted(costs.clone());
                 e.price_epoch(&g, ap);
                 repaired += matches!(e.last_outcome(), EpochOutcome::Repaired { .. }) as usize;
-                let iv = &e.shared.as_ref().expect("priced epoch").iv;
+                let iv = e.iv.as_ref().expect("priced epoch");
                 let sg = SliceGraph::new(&g, iv, &e.dist);
                 let mut sc = SliceScratch::new();
                 for &x in &iv.order()[1..] {
-                    if e.row_stale[x.index()] || iv.subtree(x).len() < 2 {
+                    if iv.subtree(x).len() < 2 {
                         continue;
                     }
                     detour_row(&sg, x, None, &mut sc);

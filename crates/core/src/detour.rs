@@ -65,6 +65,9 @@ pub(crate) trait DetourModel: Sync {
     fn node_cost(&self, v: NodeId) -> Cost;
     /// `‖P(v, ap)‖` read off the inclusive table.
     fn lcp_at(&self, v: NodeId, dist: &[Cost]) -> Cost;
+    /// The declared cost a relay's VCG payment adds back: its node cost,
+    /// or the cost of the arc it forwards on to `next`.
+    fn declared(&self, relay: NodeId, next: NodeId) -> Cost;
 }
 
 impl DetourModel for NodeWeightedGraph {
@@ -91,6 +94,10 @@ impl DetourModel for NodeWeightedGraph {
     fn lcp_at(&self, v: NodeId, dist: &[Cost]) -> Cost {
         dist[v.index()].saturating_sub(self.cost(v))
     }
+    #[inline]
+    fn declared(&self, relay: NodeId, _next: NodeId) -> Cost {
+        self.cost(relay)
+    }
 }
 
 impl DetourModel for LinkWeightedDigraph {
@@ -115,6 +122,10 @@ impl DetourModel for LinkWeightedDigraph {
     #[inline]
     fn lcp_at(&self, v: NodeId, dist: &[Cost]) -> Cost {
         dist[v.index()]
+    }
+    #[inline]
+    fn declared(&self, relay: NodeId, next: NodeId) -> Cost {
+        self.arc_cost(relay, next)
     }
 }
 

@@ -41,18 +41,8 @@ pub fn directed_payments(
     target: NodeId,
 ) -> Option<UnicastPricing> {
     assert_ne!(source, target, "unicast endpoints must differ");
-    let table = dijkstra(
-        g,
-        source,
-        Direction::Forward,
-        DijkstraOptions {
-            avoid: None,
-            avoid_edge: None,
-            target: Some(target),
-        },
-    );
-    let path = table.path(target)?;
-    let lcp_cost = table.dist(target);
+    let path = canonical_lcp(g, source, target)?;
+    let lcp_cost: Cost = path.windows(2).map(|h| g.arc_cost(h[0], h[1])).sum();
 
     let mut mask = NodeMask::new(g.num_nodes());
     let mut payments = Vec::with_capacity(path.len().saturating_sub(2));
@@ -80,6 +70,44 @@ pub fn directed_payments(
         lcp_cost,
         payments,
     })
+}
+
+/// The canonical LCP `source → target` (DESIGN.md §2): least cost, then
+/// fewest hops, then the lexicographically least node sequence. A
+/// backward sweep gives every node's cost `R(v)` to `target`; an arc
+/// `v → w` is *tight* iff `w(v, w) + R(w) = R(v)`; a BFS over reversed
+/// tight arcs gives hop counts `h`; and the walk from `source` takes the
+/// lowest-index tight successor with `h` one less at each step.
+fn canonical_lcp(g: &LinkWeightedDigraph, source: NodeId, target: NodeId) -> Option<Vec<NodeId>> {
+    let r = dijkstra(g, target, Direction::Backward, DijkstraOptions::default()).dist;
+    if r[source.index()].is_inf() {
+        return None;
+    }
+    let tight = |v: NodeId, w: NodeId, arc: Cost| arc + r[w.index()] == r[v.index()];
+    let mut hops = vec![u32::MAX; g.num_nodes()];
+    hops[target.index()] = 0;
+    let mut queue = std::collections::VecDeque::from([target]);
+    while let Some(w) = queue.pop_front() {
+        for a in g.in_arcs(w) {
+            if hops[a.head.index()] == u32::MAX && tight(a.head, w, a.weight) {
+                hops[a.head.index()] = hops[w.index()] + 1;
+                queue.push_back(a.head);
+            }
+        }
+    }
+    let mut path = vec![source];
+    let mut v = source;
+    while v != target {
+        v = g
+            .out_arcs(v)
+            .iter()
+            .filter(|a| tight(v, a.head, a.weight) && hops[a.head.index()] + 1 == hops[v.index()])
+            .map(|a| a.head)
+            .min()
+            .expect("a reached node has a tight successor one hop closer");
+        path.push(v);
+    }
+    Some(path)
 }
 
 /// The true transmission cost a relay incurs on the chosen path under its

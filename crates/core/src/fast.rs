@@ -5,8 +5,10 @@
 //! Lemmas 1–3, restated in our `L'`/`R'` convention — see
 //! [`truthcast_graph::node_dijkstra`]):
 //!
-//! 1. Two sweeps give `L'(v)` (from `v_i`) and `R'(v)` (from `v_j`), and
-//!    `SPT(v_i)` yields the LCP `r_0 … r_s` and node *levels*.
+//! 1. Two sweeps give `L'(v)` (from `v_i`) and `R'(v)` (from `v_j`). The
+//!    canonical LCP `r_0 … r_s` is read off the `v_j`-rooted table (least
+//!    cost, then fewest hops, then lowest node ids — DESIGN.md §2) and
+//!    grafted into `SPT(v_i)`, which then yields the node *levels*.
 //! 2. A replacement path avoiding `r_l` crosses from the `level < l`
 //!    region to the `level ≥ l` region exactly once:
 //!    * across an edge `(a, b)` with `level(a) < l < level(b)` — candidate
@@ -20,20 +22,18 @@
 //!      restricted runs together cost `O(Σ(n_l log n_l) + m)`.
 //!
 //! Overall `O((n + m) log n)` — the paper's `O(n log n + m)` up to the
-//! binary-heap/Fibonacci distinction. Like the replacement-path literature
-//! this derivation assumes shortest paths are essentially unique (ties are
-//! broken consistently by the Dijkstra order); the differential tests
-//! exercise tie-heavy profiles as well and the naive oracle remains the
-//! ground truth.
+//! binary-heap/Fibonacci distinction. The replacement costs are exact
+//! graph minima for any `SPT(v_i)` containing the path, so ties only
+//! decide which path is reported, and the canonical rule fixes that; the
+//! differential tests exercise tie-heavy profiles against the naive
+//! oracle, which implements the rule independently.
 
 use truthcast_graph::heap::IndexedHeap;
-use truthcast_graph::node_dijkstra::{node_dijkstra, NodeDijkstraOptions};
-use truthcast_graph::{Cost, NodeId, NodeWeightedGraph, Spt};
-use truthcast_mechanism::vcg::vcg_payment_selected;
+use truthcast_graph::{Cost, NodeId, NodeWeightedGraph};
 
-use crate::levels::{compute_levels, PathLevels, UNREACHED};
+use crate::batch::{price_session, target_tree, SessionQuery, WorkerScratch};
+use crate::levels::{PathLevels, UNREACHED};
 use crate::pricing::UnicastPricing;
-use crate::trace::audit_unicast;
 
 /// Prices a unicast with the per-relay-removal VCG scheme using
 /// Algorithm 1. Semantically identical to
@@ -60,42 +60,15 @@ pub fn fast_payments(
 ) -> Option<UnicastPricing> {
     assert_ne!(source, target, "unicast endpoints must differ");
     let _span = truthcast_obs::span("core.fast_payments");
-    let ti = node_dijkstra(g, source, NodeDijkstraOptions::default());
-    let spt = Spt::from_parents(source, &ti.parent);
-    let lv = compute_levels(&spt, target)?;
-    let lcp_cost = ti.lcp_cost(g, target);
-    let s = lv.hops();
-    if s == 1 {
-        return Some(UnicastPricing {
-            path: lv.path,
-            lcp_cost,
-            payments: vec![],
-        });
-    }
-    let tj = node_dijkstra(g, target, NodeDijkstraOptions::default());
-
-    let replacements = replacement_costs(g, &ti.dist, &tj.dist, &lv);
-    let payments: Vec<(NodeId, Cost)> = lv.path[1..s]
-        .iter()
-        .zip(&replacements)
-        .map(|(&r, &repl)| (r, vcg_payment_selected(lcp_cost, repl, g.cost(r))))
-        .collect();
-    audit_unicast(
+    let tj = target_tree(g, target);
+    let mut scratch = WorkerScratch::new(g.num_nodes());
+    price_session(
+        g,
+        SessionQuery::new(source, target),
+        &tj,
+        &mut scratch,
         "fast",
-        source,
-        target,
-        lcp_cost,
-        payments
-            .iter()
-            .zip(&replacements)
-            .map(|(&(r, p), &repl)| (r, repl, g.cost(r), p)),
-    );
-
-    Some(UnicastPricing {
-        path: lv.path,
-        lcp_cost,
-        payments,
-    })
+    )
 }
 
 /// Prices every node's unicast toward a fixed access point — the paper's

@@ -16,11 +16,11 @@
 //! and returns `None` on asymmetric inputs rather than silently
 //! miscomputing.
 
-use truthcast_graph::dijkstra::{dijkstra, DijkstraOptions, Direction};
 use truthcast_graph::heap::IndexedHeap;
-use truthcast_graph::{Cost, LinkWeightedDigraph, NodeId, Spt};
+use truthcast_graph::{Cost, LinkWeightedDigraph, NodeId};
 
-use crate::levels::{compute_levels, PathLevels, UNREACHED};
+use crate::batch::{price_session, target_tree, SessionQuery, WorkerScratch};
+use crate::levels::{PathLevels, UNREACHED};
 use crate::pricing::UnicastPricing;
 
 /// Whether every arc has an equal-cost reverse.
@@ -44,35 +44,15 @@ pub fn fast_symmetric_payments(
     if !is_symmetric(g) {
         return None;
     }
-    let ti = dijkstra(g, source, Direction::Forward, DijkstraOptions::default());
-    let spt = Spt::from_parents(source, &ti.parent);
-    let lv = compute_levels(&spt, target)?;
-    let lcp_cost = ti.dist(target);
-    let s = lv.hops();
-    if s == 1 {
-        return Some(UnicastPricing {
-            path: lv.path,
-            lcp_cost,
-            payments: vec![],
-        });
-    }
-    let tj = dijkstra(g, target, Direction::Forward, DijkstraOptions::default());
-
-    let replacements = edge_weighted_replacement_costs(g, &ti.dist, &tj.dist, &lv);
-    let payments = (1..s)
-        .map(|l| {
-            let relay = lv.path[l];
-            let used_arc = g.arc_cost(relay, lv.path[l + 1]);
-            let delta = replacements[l - 1].saturating_sub(lcp_cost);
-            (relay, used_arc.saturating_add(delta))
-        })
-        .collect();
-
-    Some(UnicastPricing {
-        path: lv.path,
-        lcp_cost,
-        payments,
-    })
+    let tj = target_tree(g, target);
+    let mut scratch = WorkerScratch::new(g.num_nodes());
+    price_session(
+        g,
+        SessionQuery::new(source, target),
+        &tj,
+        &mut scratch,
+        "fast_sym",
+    )
 }
 
 /// `‖P_{-r_l}‖` for `l = 1 … s-1` on an edge-weighted symmetric graph,

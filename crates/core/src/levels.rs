@@ -1,14 +1,27 @@
-//! The level assignment of Algorithm 1 (step 2).
+//! The canonical LCP and the level assignment of Algorithm 1 (step 2).
 //!
-//! Fix the LCP `P(v_i, v_j) = r_0 r_1 … r_s` as the tree path to `v_j` in
-//! `SPT(v_i)`. The *level* of a node `v_k` is the index of the **last** LCP
-//! node on the tree path `v_i → v_k`: removing `r_{level(k)}` disconnects
-//! `v_k` from the root inside the tree. Levels drive everything in the
-//! fast algorithm: the paper's Lemmas 1–3 say replacement paths avoiding
-//! `r_l` cross from the `level < l` region to the `level ≥ l` region
-//! exactly once.
+//! **The canonical LCP.** `LCP(v_i → v_j)` is the least-cost path with the
+//! fewest hops, ties broken by the lexicographically least node sequence
+//! read from `v_i` (DESIGN.md §2). With `R'` the `v_j`-rooted table, an
+//! arc `v → w` is *tight* when continuing through `w` achieves `v`'s LCP
+//! cost, and `hops(v)` is the tight-arc hop distance to `v_j`; the
+//! canonical parent of `v` is its lowest-index tight neighbour one hop
+//! closer. [`canonical_parents`] computes that tree for every node at
+//! once, so every engine reports the same path on tied instances.
+//!
+//! **Levels.** Fix the LCP `P(v_i, v_j) = r_0 r_1 … r_s` as the tree path
+//! to `v_j` in an `SPT(v_i)` that contains it. The *level* of a node `v_k`
+//! is the index of the **last** LCP node on the tree path `v_i → v_k`:
+//! removing `r_{level(k)}` disconnects `v_k` from the root inside the
+//! tree. Levels drive everything in the fast algorithm: the paper's
+//! Lemmas 1–3 say replacement paths avoiding `r_l` cross from the
+//! `level < l` region to the `level ≥ l` region exactly once, and they
+//! hold for any SPT containing the path, so the canonical path is grafted
+//! into the source sweep's tree ([`levels_along`]).
 
-use truthcast_graph::{NodeId, Spt};
+use truthcast_graph::{Cost, NodeId, Spt};
+
+use crate::detour::DetourModel;
 
 /// Level marker for nodes outside `SPT(v_i)`'s tree (unreachable from the
 /// source): they can appear on no path and are ignored everywhere.
@@ -65,6 +78,74 @@ pub fn compute_levels(spt: &Spt, target: NodeId) -> Option<PathLevels> {
         level,
         pos_on_path,
     })
+}
+
+/// Overwrites `parent` with the canonical LCP tree toward `root` (module
+/// docs) over the `root`-rooted inclusive table `dist`: one BFS over
+/// tight arcs, `O(n + m)`. Each node keeps the lowest-index tight
+/// neighbour seen at the level above it; unreached nodes and `root` get
+/// `None`. Both models are symmetric, so an out-arc `w → v` costs what
+/// `v → w` does.
+pub(crate) fn canonical_parents<M: DetourModel>(
+    m: &M,
+    dist: &[Cost],
+    root: NodeId,
+    parent: &mut Vec<Option<NodeId>>,
+) {
+    let n = m.num_nodes();
+    parent.clear();
+    parent.resize(n, None);
+    // Every arc reads `lcp` at its far end; only the tight ones (about
+    // one per node) go on to read and write `hops`.
+    let lcp: Vec<Cost> = (0..n).map(|v| m.lcp_at(NodeId::new(v), dist)).collect();
+    let mut hops = vec![u32::MAX; n];
+    let mut queue = Vec::with_capacity(n);
+    hops[root.index()] = 0;
+    queue.push(root);
+    let mut head = 0;
+    while let Some(&w) = queue.get(head) {
+        head += 1;
+        let next = hops[w.index()] + 1;
+        let dw = dist[w.index()];
+        m.arcs_from(w, |v, arc| {
+            // Tightness first: it fails on almost every arc, so the branch
+            // predicts well; the hop comparison does not.
+            if m.onward(arc, dw) != lcp[v.index()] || hops[v.index()] < next {
+                return;
+            }
+            if hops[v.index()] == u32::MAX {
+                hops[v.index()] = next;
+                queue.push(v);
+                parent[v.index()] = Some(w);
+            } else if parent[v.index()].is_some_and(|p| w < p) {
+                parent[v.index()] = Some(w);
+            }
+        });
+    }
+}
+
+/// Walks the tree path `v → … → root` (source first).
+pub(crate) fn tree_path(parent: &[Option<NodeId>], v: NodeId) -> Vec<NodeId> {
+    let mut path = vec![v];
+    let mut cur = v;
+    while let Some(p) = parent[cur.index()] {
+        path.push(p);
+        cur = p;
+        debug_assert!(path.len() <= parent.len(), "parent cycle");
+    }
+    path
+}
+
+/// Levels for the unicast along `path` (source first), after grafting it
+/// into the source sweep's tree `parent`. Every prefix of a least-cost
+/// path is least-cost, so each grafted arc is tight and the result is
+/// still a shortest-path tree from `path[0]`.
+pub(crate) fn levels_along(parent: &mut [Option<NodeId>], path: &[NodeId]) -> PathLevels {
+    for hop in path.windows(2) {
+        parent[hop[1].index()] = Some(hop[0]);
+    }
+    let spt = Spt::from_parents(path[0], parent);
+    compute_levels(&spt, path[path.len() - 1]).expect("the grafted path is in the tree")
 }
 
 #[cfg(test)]

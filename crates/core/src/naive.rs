@@ -15,7 +15,8 @@ use crate::pricing::UnicastPricing;
 use crate::trace::audit_unicast;
 
 /// Prices a unicast with the per-relay-removal VCG scheme, recomputing a
-/// full node-avoiding shortest path per relay.
+/// full node-avoiding shortest path per relay. The relays paid are those
+/// of the canonical LCP, derived here independently of the engines.
 ///
 /// Returns `None` if `target` is unreachable from `source`. A relay whose
 /// removal disconnects the endpoints receives a [`Cost::INF`] payment
@@ -27,16 +28,8 @@ pub fn naive_payments(
 ) -> Option<UnicastPricing> {
     assert_ne!(source, target, "unicast endpoints must differ");
     let _span = truthcast_obs::span("core.naive_payments");
-    let table = node_dijkstra(
-        g,
-        source,
-        NodeDijkstraOptions {
-            avoid: None,
-            target: Some(target),
-        },
-    );
-    let path = table.path(target)?;
-    let lcp_cost = table.lcp_cost(g, target);
+    let path = canonical_lcp(g, source, target)?;
+    let lcp_cost: Cost = path[1..path.len() - 1].iter().map(|&r| g.cost(r)).sum();
 
     let mut mask = NodeMask::new(g.num_nodes());
     let mut payments = Vec::with_capacity(path.len().saturating_sub(2));
@@ -76,6 +69,45 @@ pub fn naive_payments(
         lcp_cost,
         payments,
     })
+}
+
+/// The canonical LCP `source … target` straight from its definition
+/// (DESIGN.md §2): the least-cost paths, then the fewest hops, then the
+/// lexicographically least node sequence. A sweep from `target` gives
+/// `R'`; an arc `v → w` lies on some least-cost path iff
+/// `R'(w) + c_v = R'(v)` (*tight*); a BFS over tight arcs gives every
+/// node's hop count `h`; and the greedy walk from `source` takes the
+/// lowest-index tight neighbour with `h` one less at each step.
+fn canonical_lcp(g: &NodeWeightedGraph, source: NodeId, target: NodeId) -> Option<Vec<NodeId>> {
+    let r = node_dijkstra(g, target, NodeDijkstraOptions::default()).dist;
+    if r[source.index()].is_inf() {
+        return None;
+    }
+    let tight = |v: NodeId, w: NodeId| r[w.index()] + g.cost(v) == r[v.index()];
+    let mut hops = vec![u32::MAX; g.num_nodes()];
+    hops[target.index()] = 0;
+    let mut queue = std::collections::VecDeque::from([target]);
+    while let Some(w) = queue.pop_front() {
+        for &v in g.neighbors(w) {
+            if hops[v.index()] == u32::MAX && tight(v, w) {
+                hops[v.index()] = hops[w.index()] + 1;
+                queue.push_back(v);
+            }
+        }
+    }
+    let mut path = vec![source];
+    let mut v = source;
+    while v != target {
+        v = g
+            .neighbors(v)
+            .iter()
+            .copied()
+            .filter(|&w| tight(v, w) && hops[w.index()] + 1 == hops[v.index()])
+            .min()
+            .expect("a reached node has a tight neighbour one hop closer");
+        path.push(v);
+    }
+    Some(path)
 }
 
 /// Just the replacement cost `‖P_{-v_k}(source, target, d)‖` for one node.

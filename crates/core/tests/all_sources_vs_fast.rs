@@ -5,11 +5,11 @@
 //!
 //! The engine's replacement values come from per-relay restricted
 //! Dijkstras over the shared AP-rooted SPT (exact minima, tie-proof); its
-//! reported *paths* rely on the tie-ambiguity fallback (DESIGN.md §10).
-//! Tie-heavy cost profiles therefore exercise the fallback pipeline hard
-//! while wide-range profiles take the pure shared-sweep path — both must
-//! land on identical tables, including the AP's own slot and the
-//! guaranteed-unreachable node every topology carries.
+//! reported *paths* are the canonical LCP tree (DESIGN.md §2), which every
+//! per-source engine reports too. Tie-heavy cost profiles therefore
+//! exercise the tie rule hard while wide-range profiles have unique
+//! LCPs — both must land on identical tables, including the AP's own
+//! slot and the guaranteed-unreachable node every topology carries.
 //!
 //! Case count scales with `TRUTHCAST_CASES` (the CI heavy battery sets
 //! it); a failure prints the `TRUTHCAST_SEED` that reproduces it.
@@ -199,22 +199,25 @@ fn asymmetric_link_table_is_all_none() {
     }
 }
 
-/// The fallback rate behaves as claimed: zero on a tie-free instance,
-/// positive on an all-equal-costs instance — and the table matches the
-/// oracle either way (the counter is the module's "asserted rare" proof
-/// hook, surfaced via `core.all_sources.fallbacks`).
+/// The canonical rule decides tied paths: with every relay at cost 1,
+/// source 5 reaches the AP at cost 2 through 2-1 and through 4-3 (and
+/// 4-1), all three hops. The lexicographically least sequence is
+/// 5-2-1-0. With distinct costs 5-2-1-0 is the unique LCP (cost 3,
+/// against 12 via 4-3 and 9 via 4-1). Both tables match the per-source
+/// oracle.
 #[test]
-fn fallback_rate_tracks_ambiguity() {
-    // Distinct power-of-two-ish costs: every subpath sum is unique.
+fn tied_paths_follow_the_canonical_rule() {
     let pairs = [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5), (1, 4)];
     let unique = NodeWeightedGraph::from_pairs_units(&pairs, &[0, 1, 2, 4, 8, 16]);
     let mut engine = AllSourcesEngine::with_threads(2);
     let got = engine.price_all_sources(&unique, NodeId(0));
-    assert_eq!(engine.last_fallbacks(), 0, "unique costs need no fallback");
+    let path = |t: &[Option<UnicastPricing>]| t[5].as_ref().map(|p| p.path.clone());
+    let expect: Vec<NodeId> = [5, 2, 1, 0].map(NodeId).to_vec();
+    assert_eq!(path(&got), Some(expect.clone()));
     assert_eq!(got, oracle_table(&unique, NodeId(0)));
 
     let tied = NodeWeightedGraph::from_pairs_units(&pairs, &[0, 1, 1, 1, 1, 1]);
     let got = engine.price_all_sources(&tied, NodeId(0));
-    assert!(engine.last_fallbacks() > 0, "equal costs must fall back");
+    assert_eq!(path(&got), Some(expect));
     assert_eq!(got, oracle_table(&tied, NodeId(0)));
 }

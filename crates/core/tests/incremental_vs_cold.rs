@@ -2,16 +2,16 @@
 //! **bit-identical** to a cold [`AllSourcesEngine`] sweep at every epoch
 //! of a mobility trace — payment tables *and* distance tables — at every
 //! thread count, and at every damage threshold
-//! (0.0 forces the fallback path, 1.0 forces slice repair, the default
+//! (0.0 forces the cold fallback, 1.0 forces slice repair, the default
 //! exercises the crossover).
 //!
 //! Traces come in two flavors: UDG node teleports (a deployment where a
 //! few nodes jump per epoch, re-deriving the in-range edge set) and
 //! Erdős–Rényi edge flips (arbitrary link churn with occasional cost
-//! tweaks). Tie-heavy cost profiles make LCP tie-ambiguity — and hence
-//! the per-session fallback pipeline — flip on and off between epochs;
-//! wide-range profiles keep the pure shared-sweep path hot. Both must
-//! agree with cold re-pricing bit for bit.
+//! tweaks). Tie-heavy cost profiles make canonical parents flip between
+//! tied continuations from epoch to epoch, often where no distance
+//! moved; wide-range profiles have unique LCPs. Both must agree with
+//! cold re-pricing bit for bit, canonical tree included.
 //!
 //! Audit-record equality lives in `incremental_audits.rs`: the obs
 //! collector is process-global, so enabling it here would cross-pollute
@@ -133,7 +133,8 @@ fn er_trace(seed: u64, ties: bool) -> Vec<NodeWeightedGraph> {
 }
 
 /// Drives one warm engine down the trace and compares every epoch's
-/// payment table *and* distance table against a fresh cold engine. Returns the outcome sequence so callers can pin path
+/// payment table, distance table *and* canonical tree against a fresh
+/// cold engine. Returns the outcome sequence so callers can pin path
 /// coverage.
 fn check_trace(
     graphs: &[NodeWeightedGraph],
@@ -157,6 +158,13 @@ fn check_trace(
             engine.tables().0,
             cold.tables().0,
             "dist tables diverged: epoch={} outcome={:?}",
+            epoch,
+            outcome
+        );
+        prop_assert_eq!(
+            engine.tables().1,
+            cold.tables().1,
+            "canonical trees diverged: epoch={} outcome={:?}",
             epoch,
             outcome
         );
@@ -248,25 +256,31 @@ fn damage_threshold_never_changes_outputs() {
     });
 }
 
-/// Adversarial single-node move that flips LCP tie-ambiguity: epoch 2
-/// adds the second arm of a diamond with exactly equal relay costs, so
-/// the source at the far end flips from an unambiguous shared-sweep
-/// source to an ambiguous fallback source; epoch 3 removes it again.
-/// Repair must track the flip bit-exactly in both directions.
+/// Adversarial canonical-parent flip far from any distance change. Two
+/// arms reach the AP at equal cost: 0-1-4 and 0-2-6-3 (relays 1 and 2
+/// cost 5, the rest 0), and node 5 hangs off both ends, so its LCP cost
+/// is 5 either way; the shorter arm wins and 5 routes 5-4-1-0. Epoch 2
+/// adds the arc 2–3: no distance changes, so repair settles nothing,
+/// but 3 is now two hops from the AP and 5's tie goes to the lower id,
+/// 5-3-2-0. Epoch 3 removes the arc again. The warm engine must follow
+/// both flips, and its tree must equal the cold one every epoch.
 #[test]
-fn tie_ambiguity_flip_stays_exact() {
-    let units = [0u64, 5, 5, 1];
-    let one_arm = NodeWeightedGraph::from_pairs_units(&[(0, 1), (1, 3), (0, 2)], &units);
-    let diamond = NodeWeightedGraph::from_pairs_units(&[(0, 1), (1, 3), (0, 2), (2, 3)], &units);
-    let graphs = [one_arm.clone(), diamond, one_arm];
+fn canonical_parent_flip_stays_exact() {
+    let units = [0u64, 5, 5, 0, 0, 1, 0];
+    let arms = [(0, 1), (1, 4), (0, 2), (2, 6), (6, 3), (3, 5), (4, 5)];
+    let g0 = NodeWeightedGraph::from_pairs_units(&arms, &units);
+    let g1 = NodeWeightedGraph::from_pairs_units(&[&arms[..], &[(2, 3)]].concat(), &units);
+    let graphs = [g0.clone(), g1, g0];
     let ap = NodeId(0);
 
     let mut engine = IncrementalEngine::with_threads(2).with_damage_threshold(1.0);
-    let mut fallback_counts = Vec::new();
+    let mut paths = Vec::new();
     for (epoch, g) in graphs.iter().enumerate() {
         let got = engine.price_epoch(g, ap);
-        let expected = AllSourcesEngine::with_threads(2).price_all_sources(g, ap);
+        let mut cold = AllSourcesEngine::with_threads(2);
+        let expected = cold.price_all_sources(g, ap);
         assert_eq!(*got, expected, "epoch {epoch}");
+        assert_eq!(engine.tables(), cold.tables(), "epoch {epoch}");
         if epoch > 0 {
             assert!(
                 matches!(engine.last_outcome(), EpochOutcome::Repaired { .. }),
@@ -274,18 +288,12 @@ fn tie_ambiguity_flip_stays_exact() {
                 engine.last_outcome()
             );
         }
-        fallback_counts.push(engine.last_fallback_sources());
+        paths.push(got[5].as_ref().expect("5 reaches the AP").path.clone());
     }
-    // The diamond epoch makes node 3's continuation ambiguous (two tight
-    // parents at equal cost), so the per-session fallback set must grow
-    // and then shrink back.
-    assert!(
-        fallback_counts[1] > fallback_counts[0],
-        "ambiguity must appear: {fallback_counts:?}"
-    );
-    assert!(
-        fallback_counts[2] < fallback_counts[1],
-        "ambiguity must disappear: {fallback_counts:?}"
+    let p = |ids: &[u32]| ids.iter().map(|&v| NodeId(v)).collect::<Vec<_>>();
+    assert_eq!(
+        paths,
+        vec![p(&[5, 4, 1, 0]), p(&[5, 3, 2, 0]), p(&[5, 4, 1, 0])]
     );
 }
 

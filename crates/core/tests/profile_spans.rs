@@ -14,12 +14,11 @@ use truthcast_obs::SpanRecord;
 use truthcast_rt::{Rng, SeedableRng, SmallRng};
 
 /// The phase names every all-sources run decomposes into.
-const PHASES: [&str; 5] = [
+const PHASES: [&str; 4] = [
     "all_sources.spt_sweep",
     "all_sources.classify",
     "all_sources.subtree_runs",
     "all_sources.assemble",
-    "all_sources.fallback",
 ];
 
 fn big_graph(n: usize, seed: u64) -> NodeWeightedGraph {
@@ -63,9 +62,8 @@ fn all_sources_phases_cover_the_root_span() {
         );
         assert!(k.start_ns >= root.start_ns && k.end_ns <= root.end_ns);
     }
-    // Every run passes through sweep, classify, subtree and assemble;
-    // fallback only fires on tie-ambiguous instances.
-    for must in &PHASES[..4] {
+    // Every run passes through sweep, classify, subtree and assemble.
+    for must in &PHASES {
         assert!(
             kids.iter().any(|k| k.name == *must),
             "phase {must:?} missing"

@@ -14,14 +14,18 @@
 //! edge 2 3
 //! ```
 //!
-//! Unlisted node costs default to zero. Writing is lossless (costs are
-//! emitted in micro-units).
+//! Unlisted node costs default to zero. Costs are exact decimals to the
+//! micro-unit (more digits round half up; float spellings such as `1e3`
+//! are also accepted), and writing is lossless: every cost is emitted as
+//! its exact micro-unit decimal. Malformed input of any kind — a second
+//! `nodes` line, a node count past the [`NodeId`] range, an endpoint out
+//! of range — is a [`ParseError`] naming the line, never a panic.
 
 use std::fmt::Write as _;
 use std::str::FromStr;
 
 use crate::adjacency::AdjacencyBuilder;
-use crate::cost::Cost;
+use crate::cost::{Cost, COST_SCALE};
 use crate::ids::NodeId;
 use crate::node_weighted::NodeWeightedGraph;
 
@@ -56,6 +60,39 @@ where
     })
 }
 
+/// A cost token: an exact `digits[.digits]` decimal, or any other
+/// non-negative finite float spelling. Values past the finite range clamp
+/// to [`Cost::MAX_FINITE`].
+fn parse_cost(tok: Option<&str>, line: usize) -> Result<Cost, ParseError> {
+    let text = tok.unwrap_or_default();
+    let (int, frac) = text.split_once('.').unwrap_or((text, ""));
+    let digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
+    if !int.is_empty() && digits(int) && digits(frac) {
+        let scale = COST_SCALE as u128;
+        let whole = int.bytes().fold(0u128, |acc, b| {
+            acc.saturating_mul(10).saturating_add(u128::from(b - b'0'))
+        });
+        let mut pad = frac.bytes().chain(std::iter::repeat(b'0'));
+        let micros = pad
+            .by_ref()
+            .take(6)
+            .fold(0u128, |acc, b| acc * 10 + u128::from(b - b'0'));
+        let half_up = u128::from(pad.next().is_some_and(|b| b >= b'5'));
+        let total = whole.saturating_mul(scale).saturating_add(micros + half_up);
+        return Ok(Cost::from_micros(
+            total.min(u128::from(Cost::MAX_FINITE.micros())) as u64,
+        ));
+    }
+    let c: f64 = parse_field(tok, line, "cost value")?;
+    if c < 0.0 || !c.is_finite() {
+        return Err(ParseError {
+            line,
+            message: format!("invalid cost {c}"),
+        });
+    }
+    Ok(Cost::from_f64(c))
+}
+
 /// Parses the text format into a node-weighted graph.
 pub fn parse_node_weighted(text: &str) -> Result<NodeWeightedGraph, ParseError> {
     let mut num_nodes: Option<usize> = None;
@@ -71,9 +108,21 @@ pub fn parse_node_weighted(text: &str) -> Result<NodeWeightedGraph, ParseError> 
         let mut toks = content.split_whitespace();
         match toks.next().unwrap() {
             "nodes" => {
-                let n: usize = parse_field(toks.next(), line, "node count")?;
-                num_nodes = Some(n);
-                costs = vec![Cost::ZERO; n];
+                if num_nodes.is_some() {
+                    return Err(ParseError {
+                        line,
+                        message: "repeated `nodes` line".into(),
+                    });
+                }
+                let n: u64 = parse_field(toks.next(), line, "node count")?;
+                if n > u64::from(u32::MAX) {
+                    return Err(ParseError {
+                        line,
+                        message: format!("node count {n} exceeds the NodeId range"),
+                    });
+                }
+                num_nodes = Some(n as usize);
+                costs = vec![Cost::ZERO; n as usize];
             }
             "cost" => {
                 let n = num_nodes.ok_or_else(|| ParseError {
@@ -81,20 +130,14 @@ pub fn parse_node_weighted(text: &str) -> Result<NodeWeightedGraph, ParseError> 
                     message: "`cost` before `nodes`".into(),
                 })?;
                 let v: usize = parse_field(toks.next(), line, "node id")?;
-                let c: f64 = parse_field(toks.next(), line, "cost value")?;
+                let c = parse_cost(toks.next(), line)?;
                 if v >= n {
                     return Err(ParseError {
                         line,
                         message: format!("node {v} out of range"),
                     });
                 }
-                if c < 0.0 || !c.is_finite() {
-                    return Err(ParseError {
-                        line,
-                        message: format!("invalid cost {c}"),
-                    });
-                }
-                costs[v] = Cost::from_f64(c);
+                costs[v] = c;
             }
             "edge" => {
                 let n = num_nodes.ok_or_else(|| ParseError {
@@ -147,8 +190,10 @@ pub fn write_node_weighted(g: &NodeWeightedGraph) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "nodes {}", g.num_nodes());
     for v in g.node_ids() {
-        if g.cost(v) != Cost::ZERO {
-            let _ = writeln!(out, "cost {} {}", v.index(), g.cost(v));
+        let m = g.cost(v).micros();
+        if m != 0 {
+            let (whole, frac) = (m / COST_SCALE, m % COST_SCALE);
+            let _ = writeln!(out, "cost {} {whole}.{frac:06}", v.index());
         }
     }
     for (u, v) in g.adjacency().edges() {
@@ -216,5 +261,28 @@ edge 2 3
         assert!(e.message.contains("missing `nodes`"));
         let e = parse_node_weighted("nodes 2\ncost 0 -1\n").unwrap_err();
         assert!(e.message.contains("invalid cost"));
+    }
+
+    #[test]
+    fn rejects_a_second_nodes_line_and_oversized_counts() {
+        // A second `nodes` line would resize the cost table under edges
+        // already read, which the adjacency builder rejects by panicking.
+        let e = parse_node_weighted("nodes 3\nedge 0 2\nnodes 2\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (3, "repeated `nodes` line"));
+        let e = parse_node_weighted("nodes 4294967296\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("NodeId range"), "{e}");
+    }
+
+    #[test]
+    fn costs_parse_exactly_and_clamp() {
+        let g = parse_node_weighted(
+            "nodes 4\ncost 0 12345678901.2345675\ncost 1 1e3\ncost 2 99999999999999999999\n",
+        )
+        .unwrap();
+        assert_eq!(g.cost(NodeId(0)), Cost::from_micros(12_345_678_901_234_568));
+        assert_eq!(g.cost(NodeId(1)), Cost::from_units(1000));
+        assert_eq!(g.cost(NodeId(2)), Cost::MAX_FINITE);
+        assert_eq!(parse_node_weighted(&write_node_weighted(&g)).unwrap(), g);
     }
 }

@@ -6,7 +6,9 @@
 //!
 //! Each `--chrome` file is checked against the Chrome `trace_event`
 //! structural contract ([`truthcast_obs::validate_chrome_trace`]); each
-//! `--jsonl` file against the truthcast-obs JSONL schema. Exit status 0
+//! `--jsonl` file against the truthcast-obs JSONL schema, including the
+//! service's session reconciliation (`offered = settled + shed +
+//! unreachable`, [`truthcast_obs::validate_jsonl`]). Exit status 0
 //! when every file parses, 1 on the first invalid file, 2 on usage
 //! errors. `scripts/ci.sh` runs this over the smoke-test artifacts.
 

@@ -302,17 +302,45 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
     Ok(stats)
 }
 
+/// The payment service's session outcome counters: every offered session
+/// ends settled, shed or unreachable.
+const SESSION_COUNTERS: [&str; 4] = [
+    "service.sessions.offered",
+    "service.sessions.settled",
+    "service.sessions.shed",
+    "service.sessions.unreachable",
+];
+
 /// Checks that `text` is well-formed truthcast-obs JSONL: every line a
-/// standalone JSON object with a string `type` field. Returns the line
-/// count.
+/// standalone JSON object with a string `type` field. When the stream
+/// carries the service's session counters, they must reconcile:
+/// `offered = settled + shed + unreachable` (the last reading of each
+/// counter; an absent one reads 0). Returns the line count.
 pub fn validate_jsonl(text: &str) -> Result<usize, String> {
     let mut lines = 0;
+    let mut sessions: [Option<f64>; 4] = [None; 4];
     for (i, line) in text.lines().enumerate() {
         let doc = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if doc.get("type").and_then(Json::as_str).is_none() {
+        let kind = doc.get("type").and_then(Json::as_str);
+        let Some(kind) = kind else {
             return Err(format!("line {}: missing string \"type\" field", i + 1));
+        };
+        if kind == "counter" {
+            let name = doc.get("name").and_then(Json::as_str);
+            if let Some(k) = SESSION_COUNTERS.iter().position(|&c| Some(c) == name) {
+                sessions[k] = doc.get("value").and_then(Json::as_f64);
+            }
         }
         lines += 1;
+    }
+    if sessions.iter().any(Option::is_some) {
+        let [offered, settled, shed, unreachable] = sessions.map(|v| v.unwrap_or(0.0));
+        if offered != settled + shed + unreachable {
+            return Err(format!(
+                "sessions do not reconcile: offered {offered} != settled {settled} \
+                 + shed {shed} + unreachable {unreachable}"
+            ));
+        }
     }
     Ok(lines)
 }
@@ -340,6 +368,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -379,9 +408,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting the reader accepts: far beyond anything
+/// the exporters write, and shallow enough that the recursive descent
+/// cannot exhaust the stack on hostile input.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -428,8 +464,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -657,5 +707,43 @@ mod tests {
         assert_eq!(v.get("n"), Some(&Json::Null));
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\":1} x").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // A million unclosed brackets must not exhaust the stack.
+        assert!(validate_jsonl(&"[".repeat(1_000_000)).is_err());
+        assert!(validate_jsonl(&"{\"a\":".repeat(1_000_000)).is_err());
+    }
+
+    /// A service run's session counters reconcile: 10 offered = 6 settled
+    /// + 3 shed + 1 unreachable.
+    fn service_counters() -> String {
+        let c = Collector::new();
+        for (name, v) in SESSION_COUNTERS.iter().zip([10, 6, 3, 1]) {
+            c.add(name, v);
+        }
+        crate::export::to_jsonl(&c.snapshot())
+    }
+
+    #[test]
+    fn jsonl_validator_accepts_reconciled_sessions() {
+        assert!(validate_jsonl(&service_counters()).is_ok());
+    }
+
+    #[test]
+    fn jsonl_validator_rejects_unreconciled_sessions() {
+        // Hand-break the fixture: one shed session goes missing.
+        let doc = service_counters().replace(
+            "\"name\":\"service.sessions.shed\",\"value\":3",
+            "\"name\":\"service.sessions.shed\",\"value\":2",
+        );
+        assert_ne!(doc, service_counters(), "the fixture edit must apply");
+        let err = validate_jsonl(&doc).unwrap_err();
+        assert!(err.contains("do not reconcile"), "{err}");
     }
 }

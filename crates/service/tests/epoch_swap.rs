@@ -236,7 +236,10 @@ fn swaps_never_block_readers() {
 /// complete while an epoch is being priced, and the slowest batch must
 /// take well under the typical epoch.
 fn readers_settle_while_an_epoch_is_in_flight() {
-    const N: usize = 400;
+    // Tens of milliseconds per epoch even in a debug build: a batch the
+    // scheduler preempts for a millisecond or two must stay far below a
+    // quarter of it.
+    const N: usize = 1000;
     const EPOCHS: usize = 4;
     let mut rng = SmallRng::seed_from_u64(7);
     let side = (N as f64 * std::f64::consts::PI * 300.0 * 300.0 / 12.0).sqrt();

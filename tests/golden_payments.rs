@@ -210,16 +210,16 @@ fn golden_bridge_monopoly_multi_session_batch() {
 /// The bridge-monopoly topology priced by the all-sources engine in one
 /// shared-sweep pass toward access point 4, with tracing on: every
 /// source's golden pricing at once, audit records under the
-/// `all_sources` tag, and the fallback counters pinned to the hand
+/// `all_sources` tag, and the sweep counters pinned to the hand
 /// derivation.
 ///
 /// Hand derivation of the AP-rooted inclusive table (costs
 /// `[0, 1, 2, 1, 0]`, edges as in [`golden_bridge_monopoly`]):
 /// `R′(3) = 1`, `R′(2) = 2`, `R′(0) = 2` (via 2), `R′(1) = 3` — reached
-/// at equal cost via 2 *and* via 0, so node 1 is the topology's one
-/// ambiguous node and its session is the one fallback re-price; every
-/// other source takes the pure shared-sweep path. Both monopoly sources
-/// still route through the cut vertex 2 at payment `INF`.
+/// at equal cost via 2 *and* via 0 (`c_0 = 0`), so source 1 has two
+/// LCPs, 1-2-4 and 1-0-2-4. The canonical rule keeps the one with fewer
+/// hops, 1-2-4 (DESIGN.md §2). Both monopoly sources route through the
+/// cut vertex 2 at payment `INF`.
 #[test]
 fn golden_bridge_monopoly_all_sources_sweep() {
     let g = NodeWeightedGraph::from_pairs_units(
@@ -234,14 +234,14 @@ fn golden_bridge_monopoly_all_sources_sweep() {
     let snap = obs::snapshot();
     obs::disable();
 
-    // Source 0: monopoly through the cut vertex 2 (shared-sweep path).
+    // Source 0: monopoly through the cut vertex 2.
     let p0 = table[0].as_ref().expect("0→4 connected");
     assert_eq!(p0.path, vec![NodeId(0), NodeId(2), NodeId(4)]);
     assert_eq!(p0.lcp_cost, units(2));
     assert_eq!(p0.payments, vec![(NodeId(2), Cost::INF)]);
 
-    // Source 1: the ambiguous node — re-priced by the fallback pipeline,
-    // landing on the same tie-break as the per-source algorithm.
+    // Source 1: the tied source — the fewer-hop LCP, as every engine
+    // reports it.
     let p1 = table[1].as_ref().expect("1→4 connected");
     assert_eq!(p1.path, vec![NodeId(1), NodeId(2), NodeId(4)]);
     assert_eq!(p1.lcp_cost, units(2));
@@ -284,13 +284,11 @@ fn golden_bridge_monopoly_all_sources_sweep() {
         );
     }
 
-    // The sweep accounted its work: one pass over 4 sources with exactly
-    // the one hand-derived ambiguous node falling back.
+    // The sweep accounted its work: one pass over 4 sources, one detour
+    // row (relay 2; 0, 1 and 3 relay nobody in the canonical tree).
     assert_eq!(snap.counter("core.all_sources.passes"), 1);
     assert_eq!(snap.counter("core.all_sources.sources"), 4);
-    assert_eq!(snap.counter("core.all_sources.ambiguous_nodes"), 1);
-    assert_eq!(snap.counter("core.all_sources.fallbacks"), 1);
-    assert_eq!(engine.last_fallbacks(), 1);
+    assert_eq!(snap.counter("core.all_sources.subtree_runs"), 1);
     assert!(snap.histogram("span.core.all_sources_ns").is_some());
 }
 
@@ -346,9 +344,6 @@ fn golden_incremental_three_epoch_trace() {
         engine.last_outcome(),
         EpochOutcome::Fallback { dirty_nodes: 4 }
     );
-    // No LCP ties anywhere in the trace: the per-session ambiguity
-    // fallback stays quiet in all three epochs.
-    assert_eq!(engine.last_fallback_sources(), 0);
 
     // Epoch 1, source 4: route 4-3-1-0, detour for either relay is
     // 4-2-0 at relay cost 7, so p_3 = 7 − 3 + 1 = 5, p_1 = 7 − 3 + 2 = 6.
